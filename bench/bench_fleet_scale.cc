@@ -1,5 +1,5 @@
 // Fleet-scale bench (not a paper figure): throughput and footprint of the
-// sharded timing-wheel engine (docs/FLEET_SIM.md) on a million-machine
+// sharded event-queue engine (docs/FLEET_SIM.md) on a million-machine
 // fleet.
 //
 // Two arms — a 10k-machine reference and the 10^6-machine scale run — both
@@ -79,7 +79,7 @@ void FoldLog(BenchRecord& record, const RecoveryLog& log) {
 
 void Run(bool smoke) {
   Header("fleet_scale", "fleet simulator (not a paper figure)",
-         "Machine-events/sec and peak RSS of the sharded timing-wheel "
+         "Machine-events/sec and peak RSS of the sharded event-queue "
          "engine on a million-machine fleet.");
 
   const char* scale = std::getenv("AER_SCALE");

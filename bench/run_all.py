@@ -147,9 +147,11 @@ def compare(records: dict, baseline_path: Path, threshold: float) -> list:
 
 
 def git_commit() -> str:
+    """The tree actually measured: HEAD's hash, suffixed "-dirty" when the
+    working tree has uncommitted changes (so such rows never pass for HEAD)."""
     try:
         proc = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", "describe", "--always", "--dirty", "--abbrev=7"],
             capture_output=True, text=True,
             cwd=Path(__file__).resolve().parent)
     except OSError:

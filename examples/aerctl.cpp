@@ -27,6 +27,7 @@
 #include "core/policy_generator.h"
 #include "ctrl/harness.h"
 #include "eval/experiment.h"
+#include "fleet/fleet_sim.h"
 #include "inject/harness.h"
 #include "log/log_report.h"
 #include "mining/symptom_clusters.h"
@@ -503,14 +504,16 @@ int Simulate(const Flags& flags) {
       flags.GetInt("seed", static_cast<long long>(config.sim.seed) + 1));
   const FaultCatalog catalog = MakeDefaultCatalog(config.catalog);
 
-  ClusterSimulator sim_a(config.sim, catalog);
+  fleet::FleetSimulator sim_a(fleet::FleetSimConfig{.sim = config.sim},
+                              catalog);
   UserDefinedPolicy user_a(config.escalation);
-  const SimulationResult arm_a = sim_a.Run(user_a);
+  const SimulationResult arm_a = sim_a.RunSeedCompat(user_a);
 
-  ClusterSimulator sim_b(config.sim, catalog);
+  fleet::FleetSimulator sim_b(fleet::FleetSimConfig{.sim = config.sim},
+                              catalog);
   UserDefinedPolicy user_b(config.escalation);
   HybridPolicy hybrid(policy, user_b);
-  const SimulationResult arm_b = sim_b.Run(hybrid);
+  const SimulationResult arm_b = sim_b.RunSeedCompat(hybrid);
 
   const double mean_a = static_cast<double>(arm_a.total_downtime) /
                         static_cast<double>(arm_a.processes_completed);

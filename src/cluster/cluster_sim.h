@@ -1,15 +1,11 @@
-// Discrete-event simulator of a large cluster under automatic recovery.
+// Workload configuration and result types of the cluster simulator.
 //
-// This is the substitute for the paper's production environment: thousands
-// of machines, Poisson fault arrivals drawn from the fault catalog, symptom
-// emission, fault detection after a monitoring delay, and a recovery loop
-// driven by a pluggable RecoveryPolicy. Every observable event is appended
-// to a RecoveryLog in the paper's <time, machine, description> format; the
-// ground truth (which fault actually occurred) is returned separately and is
-// used only by tests and calibration, never by the learning pipeline.
-//
-// The simulator enforces the paper's process cap: the N-th repair action of
-// a process is always manual repair (RMA), which ends the process.
+// The simulator itself is fleet::FleetSimulator (fleet/fleet_sim.h): Poisson
+// fault arrivals drawn from the fault catalog, symptom emission, detection
+// after a monitoring delay, and a recovery loop driven by a RecoveryPolicy,
+// with the paper's process cap (the N-th action is manual repair). These
+// types live below the fleet module so the catalog, trace and policy layers
+// can name them.
 #ifndef AER_CLUSTER_CLUSTER_SIM_H_
 #define AER_CLUSTER_CLUSTER_SIM_H_
 
@@ -18,9 +14,7 @@
 
 #include "cluster/fault_model.h"
 #include "cluster/policy.h"
-#include "common/rng.h"
 #include "log/recovery_log.h"
-#include "obs/metrics.h"
 
 namespace aer {
 
@@ -94,28 +88,6 @@ struct SimulationResult {
   std::int64_t fault_arrivals_skipped = 0;  // whole fleet was down
   std::int64_t processes_completed = 0;
   SimTime total_downtime = 0;
-};
-
-class ClusterSimulator {
- public:
-  ClusterSimulator(ClusterSimConfig config, FaultCatalog catalog);
-
-  // Runs one full simulation. Deterministic for a given (config seed,
-  // catalog, policy); the policy is invoked in deterministic event order.
-  SimulationResult Run(RecoveryPolicy& policy);
-
-  // Optional observability sink. Each Run() folds its SimulationResult into
-  // aer_sim_* counters at the end of the simulation (docs/OBSERVABILITY.md);
-  // the simulation itself is untouched, so instrumented and uninstrumented
-  // runs produce identical logs. The registry must outlive the simulator.
-  void SetMetrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
-
-  const FaultCatalog& catalog() const { return catalog_; }
-
- private:
-  ClusterSimConfig config_;
-  FaultCatalog catalog_;
-  obs::MetricsRegistry* metrics_ = nullptr;
 };
 
 }  // namespace aer

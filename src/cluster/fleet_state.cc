@@ -51,21 +51,4 @@ void FleetState::PoolAdd(MachineId m) {
   pool_.push_back(m);
 }
 
-std::size_t FleetState::ApproxBytes() const {
-  return healthy_.capacity() * sizeof(healthy_[0]) +
-         noisy_.capacity() * sizeof(noisy_[0]) +
-         speed_.capacity() * sizeof(speed_[0]) +
-         process_seq_.capacity() * sizeof(process_seq_[0]) +
-         fault_index_.capacity() * sizeof(fault_index_[0]) +
-         process_start_.capacity() * sizeof(process_start_[0]) +
-         last_action_start_.capacity() * sizeof(last_action_start_[0]) +
-         last_recovery_end_.capacity() * sizeof(last_recovery_end_[0]) +
-         tried_.capacity() * sizeof(tried_[0]) +
-         tried_count_.capacity() * sizeof(tried_count_[0]) +
-         emitted_.capacity() * sizeof(emitted_[0]) +
-         emitted_count_.capacity() * sizeof(emitted_count_[0]) +
-         pool_.capacity() * sizeof(MachineId) +
-         pool_pos_.capacity() * sizeof(std::int32_t);
-}
-
 }  // namespace aer

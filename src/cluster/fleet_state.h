@@ -1,13 +1,13 @@
 // Structure-of-arrays machine state for the fleet-scale simulator.
 //
-// The seed engine keeps a vector<MachineState> with two heap-allocated
-// vectors per machine (tried actions, emitted symptoms) — three pointer
-// chases and an allocator round-trip per process at 10^6 machines. Here
-// every field lives in its own flat array and the per-process sequences
-// live in fixed-stride flat pools (capacity is bounded by config: at most
-// max_actions_per_process actions, and at most 1 + max-secondary-symptoms
-// re-emittable symptoms per process), so a shard's event handlers touch a
-// handful of contiguous cache lines and never allocate.
+// A vector<MachineState> with two heap-allocated vectors per machine (tried
+// actions, emitted symptoms) costs three pointer chases and an allocator
+// round-trip per process at 10^6 machines. Here every field lives in its
+// own flat array and the per-process sequences live in fixed-stride flat
+// pools (capacity is bounded by config: at most max_actions_per_process
+// actions, and at most 1 + max-secondary-symptoms re-emittable symptoms per
+// process), so a shard's event handlers touch a handful of contiguous cache
+// lines and never allocate.
 //
 // Thread-safety: a FleetState is plain data with no internal locking. The
 // sharded engine gives each shard a disjoint machine-id range; writes to
@@ -122,21 +122,11 @@ class FleetState {
   // indexes the pool with rng.NextBounded(pool_size()), so the pool's
   // element order is part of the byte-identity contract.
 
-  bool has_pool() const { return layout_.with_healthy_pool; }
   std::size_t pool_size() const { return pool_.size(); }
   bool pool_empty() const { return pool_.empty(); }
   MachineId pool_at(std::size_t i) const { return pool_[i]; }
   void PoolRemove(MachineId m);
   void PoolAdd(MachineId m);
-
-  // Machines currently down (O(1); maintained by PoolRemove/PoolAdd in
-  // compat mode). Sharded shards track their own range-local counts.
-  int pool_num_down() const {
-    return layout_.num_machines - static_cast<int>(pool_.size());
-  }
-
-  // Approximate resident size of the state arrays, for bench reporting.
-  std::size_t ApproxBytes() const;
 
  private:
   std::size_t Idx(MachineId m) const {

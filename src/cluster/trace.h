@@ -1,7 +1,9 @@
 // One-call generation of a complete synthetic recovery-log dataset: build
-// the default fault catalog, run the cluster simulator under the
-// user-defined policy, return the log plus ground truth. This is the
-// stand-in for "collect half a year of logs from the production cluster".
+// the default fault catalog, run the cluster simulator
+// (fleet::FleetSimulator::RunSeedCompat) under the user-defined policy,
+// return the log plus ground truth. This is the stand-in for "collect half a
+// year of logs from the production cluster". Defined in src/fleet/trace.cc
+// (library aer_fleet), which owns the simulator.
 #ifndef AER_CLUSTER_TRACE_H_
 #define AER_CLUSTER_TRACE_H_
 

@@ -5,10 +5,10 @@
 #include <utility>
 #include <vector>
 
-#include "cluster/event_wheel.h"
 #include "common/check.h"
 #include "common/profiler.h"
 #include "common/rng.h"
+#include "fleet/event_queue.h"
 
 namespace aer::fleet {
 
@@ -76,14 +76,14 @@ template <typename Mode>
 class EngineCore {
  public:
   EngineCore(const ClusterSimConfig& cfg, const FaultCatalog& catalog,
-             const Tables& tables, FleetState& state, EventWheel& wheel,
+             const Tables& tables, FleetState& state, EventQueue& queue,
              RecoveryPolicy& policy, ShardOutput& out, Mode& mode,
              const obs::TraceCollector* traces = nullptr)
       : cfg_(cfg),
         catalog_(catalog),
         t_(tables),
         st_(state),
-        wheel_(wheel),
+        queue_(queue),
         policy_(policy),
         out_(out),
         mode_(mode),
@@ -119,7 +119,7 @@ class EngineCore {
     ev.process_seq = process_seq;
     ev.symptom = symptom;
     ev.action = action;
-    wheel_.Schedule(time, mode_.NextTie(machine, kind), ev);
+    queue_.Schedule(time, mode_.NextTie(machine, kind), ev);
   }
 
   // Fault arrival accepted on a healthy machine: open a recovery process.
@@ -320,7 +320,7 @@ class EngineCore {
   const FaultCatalog& catalog_;
   const Tables& t_;
   FleetState& st_;
-  EventWheel& wheel_;
+  EventQueue& queue_;
   RecoveryPolicy& policy_;
   ShardOutput& out_;
   Mode& mode_;
@@ -328,7 +328,7 @@ class EngineCore {
 };
 
 // One global RNG + global push counter: the seed engine's draw and tie
-// order, replayed on the wheel.
+// order.
 struct CompatMode {
   explicit CompatMode(std::uint64_t seed) : rng(seed) {}
   Rng& RngFor(MachineId) { return rng; }
@@ -407,11 +407,11 @@ SimulationResult FleetSimulator::RunSeedCompat(RecoveryPolicy& policy) {
       .tried_capacity = cfg.max_actions_per_process,
       .emitted_capacity = tables.emitted_capacity,
       .with_healthy_pool = true});
-  EventWheel wheel(0);
+  EventQueue queue;
   CompatMode mode(cfg.seed);
   mode.state = &state;
   ShardOutput out;
-  EngineCore<CompatMode> engine(cfg, catalog_, tables, state, wheel, policy,
+  EngineCore<CompatMode> engine(cfg, catalog_, tables, state, queue, policy,
                                 out, mode, traces_);
 
   // Seed draw order: per-machine speeds first (only when spread > 0), then
@@ -449,7 +449,7 @@ SimulationResult FleetSimulator::RunSeedCompat(RecoveryPolicy& policy) {
   schedule_next_arrival(0);
 
   ScheduledEvent e;
-  while (wheel.PopNext(&e)) {
+  while (queue.PopNext(&e)) {
     ++out.events_processed;
     switch (e.event.kind) {
       case FleetEventKind::kFaultArrival: {
@@ -478,7 +478,7 @@ SimulationResult FleetSimulator::RunSeedCompat(RecoveryPolicy& policy) {
         break;
     }
   }
-  out.wheel_peak = wheel.peak_size();
+  out.peak_pending = queue.peak_size();
 
   std::vector<ShardOutput> outputs;
   outputs.push_back(std::move(out));
@@ -497,9 +497,9 @@ void FleetSimulator::RunShard(int shard, int shards, const FleetSimTables& t,
       static_cast<std::int64_t>(cfg.num_machines) * (shard + 1) / shards);
 
   ShardOutput out;
-  EventWheel wheel(0);
+  EventQueue queue;
   ShardMode mode(begin, end, cfg.seed);
-  EngineCore<ShardMode> engine(cfg, catalog_, t, state, wheel, policy, out,
+  EngineCore<ShardMode> engine(cfg, catalog_, t, state, queue, policy, out,
                                mode, traces_);
 
   // Per-machine Poisson arrivals: superposing num_machines independent
@@ -543,7 +543,7 @@ void FleetSimulator::RunShard(int shard, int shards, const FleetSimTables& t,
   }
 
   ScheduledEvent e;
-  while (wheel.PopNext(&e)) {
+  while (queue.PopNext(&e)) {
     ++out.events_processed;
     const MachineId m = e.event.machine;
     switch (e.event.kind) {
@@ -573,7 +573,7 @@ void FleetSimulator::RunShard(int shard, int shards, const FleetSimTables& t,
         break;
     }
   }
-  out.wheel_peak = wheel.peak_size();
+  out.peak_pending = queue.peak_size();
   merger.Add(shard, std::move(out));
 }
 
@@ -609,7 +609,7 @@ void FleetSimulator::Finalize(std::vector<ShardOutput> outputs,
   AER_PROFILE_SCOPE("fleet_merge");
   std::int64_t arrivals = 0;
   std::uint64_t events = 0;
-  std::size_t wheel_peak = 0;
+  std::size_t peak_pending = 0;
   std::size_t num_gt = 0;
   for (const ShardOutput& out : outputs) num_gt += out.ground_truth.size();
   result.ground_truth.reserve(num_gt);
@@ -636,7 +636,7 @@ void FleetSimulator::Finalize(std::vector<ShardOutput> outputs,
     result.total_downtime += out.total_downtime;
     arrivals += out.fault_arrivals;
     events += out.events_processed;
-    wheel_peak = std::max(wheel_peak, out.wheel_peak);
+    peak_pending = std::max(peak_pending, out.peak_pending);
   }
   result.log.SortByTime();
   std::stable_sort(
@@ -661,7 +661,7 @@ void FleetSimulator::Finalize(std::vector<ShardOutput> outputs,
     metrics_->GetGauge("aer_fleet_shards")
         .Set(static_cast<double>(shards_used));
     metrics_->GetGauge("aer_fleet_wheel_peak_events")
-        .Set(static_cast<double>(wheel_peak));
+        .Set(static_cast<double>(peak_pending));
   }
 }
 

@@ -1,12 +1,23 @@
-// Fleet-scale discrete-event simulator: the ClusterSimulator's workload on
-// a timing-wheel scheduler, SoA machine state, and sharded execution.
+// Discrete-event simulator of a large cluster under automatic recovery.
+//
+// This is the substitute for the paper's production environment: thousands
+// of machines, Poisson fault arrivals drawn from the fault catalog, symptom
+// emission, fault detection after a monitoring delay, and a recovery loop
+// driven by a pluggable RecoveryPolicy. Every observable event is appended
+// to a RecoveryLog in the paper's <time, machine, description> format; the
+// ground truth (which fault actually occurred) is returned separately and is
+// used only by tests and calibration, never by the learning pipeline. The
+// N-th repair action of a process is always manual repair (RMA), which ends
+// the process. Events run off a binary-heap queue (fleet/event_queue.h) over
+// SoA machine state.
 //
 // Two run modes, two determinism guarantees (docs/FLEET_SIM.md):
 //
-//  RunSeedCompat() — single-shard replay of the seed engine's exact draw
-//    order on the EventWheel. Output is byte-identical to
-//    ClusterSimulator::Run for the same (config, catalog, policy); the
-//    equivalence suite (tests/fleet/fleet_equivalence_test.cc) pins this.
+//  RunSeedCompat() — single-queue replay of the seed engine's exact draw
+//    order (the repository's original simulator, whose output is pinned by
+//    golden fingerprints in tests/cluster/fleet_equivalence_test.cc). Every
+//    trace the learning pipeline consumes comes from this mode
+//    (GenerateTrace), and it accepts stateful, learning policies.
 //
 //  Run() — the scale path. The fleet is split into contiguous machine-ID
 //    shards; each machine owns an independent RNG stream
@@ -16,7 +27,7 @@
 //    ThreadPool and a serial merge in machine-ID order assembles the
 //    result, so the RecoveryLog and SimulationResult are byte-identical
 //    for ANY thread count and ANY shard count. The one semantic difference
-//    from the seed engine: a fault arriving at a machine that is already
+//    from compat mode: a fault arriving at a machine that is already
 //    down is skipped (counted in fault_arrivals_skipped) instead of being
 //    redirected to a random healthy machine — victim redirection is global
 //    state that would serialize the shards.
@@ -65,12 +76,14 @@ class FleetSimulator {
   // either way.
   SimulationResult Run(RecoveryPolicy& policy, ThreadPool* pool = nullptr);
 
-  // Seed-compatibility mode: byte-identical to ClusterSimulator::Run.
+  // Seed-compatibility mode: one queue, one RNG stream, the seed engine's
+  // output byte for byte. Deterministic for a given (config seed, catalog,
+  // policy); the policy is invoked in deterministic event order.
   SimulationResult RunSeedCompat(RecoveryPolicy& policy);
 
-  // Optional observability sink; same contract as ClusterSimulator: the
-  // aer_fleet_* metrics are folded in after the run, instrumentation never
-  // feeds back into the simulation. The registry must outlive the runs.
+  // Optional observability sink: the aer_fleet_* metrics are folded in
+  // after the run, instrumentation never feeds back into the simulation.
+  // The registry must outlive the runs.
   void SetMetrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
 
   // Optional causal trace sink (must outlive the runs; null disables).

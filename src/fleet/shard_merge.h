@@ -43,7 +43,7 @@ struct ShardOutput {
   std::int64_t processes_completed = 0;
   SimTime total_downtime = 0;
   std::uint64_t events_processed = 0;
-  std::size_t wheel_peak = 0;  // high-water mark of the shard's event wheel
+  std::size_t peak_pending = 0;  // high-water mark of the shard's event queue
 };
 
 class ShardMerger {

@@ -1,3 +1,7 @@
+// Behavioral tests of the cluster simulator's workload model (the compat
+// mode every trace comes from): determinism, log well-formedness, ground
+// truth accounting, the N cap, fleet exhaustion, symptom re-emission, and
+// the optional heterogeneity / diurnal / cross-fault-noise paths.
 #include "cluster/cluster_sim.h"
 
 #include <map>
@@ -8,10 +12,18 @@
 #include "cluster/fault_catalog.h"
 #include "cluster/trace.h"
 #include "cluster/user_policy.h"
+#include "fleet/fleet_sim.h"
 #include "log/recovery_process.h"
 
 namespace aer {
 namespace {
+
+SimulationResult Simulate(const ClusterSimConfig& config,
+                          const FaultCatalog& catalog,
+                          RecoveryPolicy& policy) {
+  return fleet::FleetSimulator(fleet::FleetSimConfig{.sim = config}, catalog)
+      .RunSeedCompat(policy);
+}
 
 ClusterSimConfig SmallConfig() {
   ClusterSimConfig config;
@@ -26,8 +38,8 @@ TEST(ClusterSimTest, DeterministicForSeed) {
   const FaultCatalog catalog = MakeDefaultCatalog();
   UserDefinedPolicy policy_a;
   UserDefinedPolicy policy_b;
-  SimulationResult a = ClusterSimulator(SmallConfig(), catalog).Run(policy_a);
-  SimulationResult b = ClusterSimulator(SmallConfig(), catalog).Run(policy_b);
+  SimulationResult a = Simulate(SmallConfig(), catalog, policy_a);
+  SimulationResult b = Simulate(SmallConfig(), catalog, policy_b);
   ASSERT_EQ(a.log.size(), b.log.size());
   for (std::size_t i = 0; i < a.log.size(); ++i) {
     ASSERT_EQ(a.log.entries()[i], b.log.entries()[i]) << "entry " << i;
@@ -40,16 +52,15 @@ TEST(ClusterSimTest, DifferentSeedsDiffer) {
   UserDefinedPolicy policy;
   ClusterSimConfig other = SmallConfig();
   other.seed = 8;
-  SimulationResult a = ClusterSimulator(SmallConfig(), catalog).Run(policy);
-  SimulationResult b = ClusterSimulator(other, catalog).Run(policy);
+  SimulationResult a = Simulate(SmallConfig(), catalog, policy);
+  SimulationResult b = Simulate(other, catalog, policy);
   EXPECT_NE(a.log.size(), b.log.size());
 }
 
 TEST(ClusterSimTest, LogIsWellFormedPerMachine) {
   const FaultCatalog catalog = MakeDefaultCatalog();
   UserDefinedPolicy policy;
-  const SimulationResult result =
-      ClusterSimulator(SmallConfig(), catalog).Run(policy);
+  const SimulationResult result = Simulate(SmallConfig(), catalog, policy);
   ASSERT_GT(result.log.size(), 100u);
 
   // Per machine: Success only after >= 1 action; actions only after a
@@ -81,8 +92,7 @@ TEST(ClusterSimTest, LogIsWellFormedPerMachine) {
 TEST(ClusterSimTest, GroundTruthMatchesCompletedProcesses) {
   const FaultCatalog catalog = MakeDefaultCatalog();
   UserDefinedPolicy policy;
-  const SimulationResult result =
-      ClusterSimulator(SmallConfig(), catalog).Run(policy);
+  const SimulationResult result = Simulate(SmallConfig(), catalog, policy);
   EXPECT_EQ(result.ground_truth.size(),
             static_cast<std::size_t>(result.processes_completed));
   SimTime downtime = 0;
@@ -110,8 +120,7 @@ TEST(ClusterSimTest, NCapForcesManualRepair) {
   ClusterSimConfig config = SmallConfig();
   config.max_actions_per_process = 5;
   UserDefinedPolicy policy;  // would try T,B,B,I,I,... without the cap
-  const SimulationResult result =
-      ClusterSimulator(config, catalog).Run(policy);
+  const SimulationResult result = Simulate(config, catalog, policy);
   ASSERT_GT(result.processes_completed, 10);
 
   // Count actions per machine's open process: exactly 5, the last being RMA.
@@ -148,16 +157,14 @@ TEST(ClusterSimTest, FleetExhaustionSkipsArrivals) {
   config.machine_mtbf_days = 1.0;
   config.seed = 3;
   UserDefinedPolicy policy;
-  const SimulationResult result =
-      ClusterSimulator(config, catalog).Run(policy);
+  const SimulationResult result = Simulate(config, catalog, policy);
   EXPECT_GT(result.fault_arrivals_skipped, 0);
 }
 
 TEST(ClusterSimTest, SymptomsReemittedBetweenActions) {
   const FaultCatalog catalog = MakeDefaultCatalog();
   UserDefinedPolicy policy;
-  const SimulationResult result =
-      ClusterSimulator(SmallConfig(), catalog).Run(policy);
+  const SimulationResult result = Simulate(SmallConfig(), catalog, policy);
   // Look for the Table 1 pattern: action, symptom, action within one
   // machine's process.
   bool found = false;
@@ -180,8 +187,7 @@ TEST(ClusterSimTest, CrossFaultNoiseInjectsForeignPrimaries) {
   ClusterSimConfig config = SmallConfig();
   config.cross_fault_noise_probability = 0.5;
   UserDefinedPolicy policy;
-  const SimulationResult result =
-      ClusterSimulator(config, catalog).Run(policy);
+  const SimulationResult result = Simulate(config, catalog, policy);
   std::int64_t noisy = 0;
   for (const ProcessGroundTruth& gt : result.ground_truth) {
     if (gt.noisy) ++noisy;
@@ -207,8 +213,7 @@ TEST(ClusterSimTest, MachineSpeedSpreadScalesDurations) {
   ClusterSimConfig config = SmallConfig();
   config.machine_speed_spread = 0.5;
   UserDefinedPolicy policy;
-  const SimulationResult result =
-      ClusterSimulator(config, catalog).Run(policy);
+  const SimulationResult result = Simulate(config, catalog, policy);
 
   // Per-machine mean action duration must vary well beyond sampling noise
   // (durations have sigma = 0, so all within-machine variation is zero).
@@ -237,8 +242,7 @@ TEST(ClusterSimTest, MachineSpeedSpreadScalesDurations) {
   // And spread 0 keeps every machine identical.
   ClusterSimConfig homogeneous = SmallConfig();
   UserDefinedPolicy policy2;
-  const SimulationResult r2 =
-      ClusterSimulator(homogeneous, catalog).Run(policy2);
+  const SimulationResult r2 = Simulate(homogeneous, catalog, policy2);
   const auto seg2 = SegmentIntoProcesses(r2.log);
   for (const RecoveryProcess& p : seg2.processes) {
     for (const ActionAttempt& a : p.attempts()) {
@@ -258,8 +262,7 @@ TEST(ClusterSimTest, DiurnalAmplitudeShapesArrivals) {
   config.duration = 30 * kDay;
   config.diurnal_amplitude = 0.8;
   UserDefinedPolicy policy;
-  const SimulationResult result =
-      ClusterSimulator(config, catalog).Run(policy);
+  const SimulationResult result = Simulate(config, catalog, policy);
 
   // Count process starts in the peak half-day (sin > 0: hours 0-12) vs the
   // trough half-day.
@@ -278,8 +281,7 @@ TEST(ClusterSimTest, DiurnalAmplitudeShapesArrivals) {
   ClusterSimConfig flat = config;
   flat.diurnal_amplitude = 0.0;
   UserDefinedPolicy policy2;
-  const SimulationResult flat_result =
-      ClusterSimulator(flat, catalog).Run(policy2);
+  const SimulationResult flat_result = Simulate(flat, catalog, policy2);
   const double ratio =
       static_cast<double>(result.processes_completed) /
       static_cast<double>(flat_result.processes_completed);
