@@ -121,23 +121,18 @@ void Run() {
   obs::MetricsRegistry registry;
   obs::TimeSeriesRecorder recorder(
       registry, {.window_width = episodes >= 8 ? episodes / 8 : 1});
-  QLearningTrainer::TrainingOutput telemetry;
+  std::vector<TypeTrainingResult> per_type;
   std::int64_t telemetry_episodes = 0;
   const auto telemetry_start = std::chrono::steady_clock::now();
   for (std::size_t t = 0; t < types.num_types(); ++t) {
-    const ErrorTypeId type = static_cast<ErrorTypeId>(t);
-    TypeTrainingResult result = telemetry_trainer.TrainType(type);
-    if (!result.sequence.empty()) {
-      telemetry.policy.AddType(
-          {std::string(platform.symptoms().Name(
-               platform.types().symptom_of(type))),
-           result.sequence});
-    }
-    PublishTypeTelemetry(registry, result);
-    telemetry_episodes += result.episodes;
+    per_type.push_back(
+        telemetry_trainer.TrainType(static_cast<ErrorTypeId>(t)));
+    PublishTypeTelemetry(registry, per_type.back());
+    telemetry_episodes += per_type.back().episodes;
     recorder.AdvanceTo(telemetry_episodes);
-    telemetry.per_type.push_back(std::move(result));
   }
+  const QLearningTrainer::TrainingOutput telemetry =
+      AssembleTrainingOutput(platform, std::move(per_type));
   recorder.Finish(telemetry_episodes);
   PublishTrainingSummary(registry, telemetry.per_type);
   const double telemetry_ms = MsSince(telemetry_start);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <set>
 
 #include "common/check.h"
 
@@ -193,46 +192,25 @@ ActionSequence ApproxQLearningTrainer::ExtractSequence(
     if (best == RepairAction::kRma) break;
   }
 
-  // ...then exact prefix pruning, as in the selection-tree scan: linear Q
-  // tails can wander once every process is effectively cured.
-  ActionSequence best_seq;
-  double best_cost = 0.0;
-  std::int64_t best_cured = -1;
-  for (std::size_t len = 1; len <= greedy.size(); ++len) {
-    const ActionSequence prefix(greedy.begin(),
-                                greedy.begin() + static_cast<std::ptrdiff_t>(len));
-    const SequenceEvaluation eval = EvaluateSequence(
-        prefix, processes, type, platform_.estimator(), config_.max_actions,
-        Terminalization::kEscalate, platform_.capabilities());
-    const bool better =
-        best_cured < 0 || eval.mean_cost < best_cost - 1e-9 ||
-        (eval.mean_cost < best_cost + 1e-9 &&
-         eval.cured_by_sequence > best_cured);
-    if (better) {
-      best_cost = eval.mean_cost;
-      best_cured = eval.cured_by_sequence;
-      best_seq = prefix;
-    }
-  }
-  return best_seq;
+  // ...then the selection-tree scan's exact prefix pruning: linear Q tails
+  // can wander once every process is effectively cured.
+  return CheapestPrefix(std::span(&greedy, 1), processes, type,
+                        platform_.estimator(), config_.max_actions,
+                        platform_.capabilities());
 }
 
 ApproxQLearningTrainer::Output ApproxQLearningTrainer::Train() const {
   Output output{TrainedPolicy{},
                 LinearQFunction(platform_.types().num_types()),
                 {}};
+  std::vector<TypeTrainingResult> per_type(by_type_.size());
   for (std::size_t t = 0; t < by_type_.size(); ++t) {
     const ErrorTypeId type = static_cast<ErrorTypeId>(t);
     TrainType(type, output.q);
-    ActionSequence sequence = ExtractSequence(type, output.q);
-    if (!sequence.empty()) {
-      output.policy.AddType(
-          {std::string(platform_.symptoms().Name(
-               platform_.types().symptom_of(type))),
-           sequence});
-    }
-    output.sequences.push_back(std::move(sequence));
+    per_type[t].sequence = ExtractSequence(type, output.q);
+    output.sequences.push_back(per_type[t].sequence);
   }
+  output.policy = AssembleTrainingOutput(platform_, std::move(per_type)).policy;
   return output;
 }
 

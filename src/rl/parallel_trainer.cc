@@ -2,7 +2,6 @@
 
 #include <utility>
 
-#include "common/check.h"
 #include "common/profiler.h"
 
 namespace aer {
@@ -18,8 +17,7 @@ ParallelTrainer::ParallelTrainer(const SelectionTreeTrainer& tree,
 QLearningTrainer::TrainingOutput ParallelTrainer::TrainAll(
     std::vector<QTable>* tables_out) const {
   AER_PROFILE_SCOPE("train_all_parallel");
-  const SimulationPlatform& platform = base_.platform();
-  const std::size_t num_types = platform.types().num_types();
+  const std::size_t num_types = base_.platform().types().num_types();
 
   // Phase 1 — the shards. Every type is an independent pure function of
   // (master seed, type): TrainType() builds its own RNG, Q-table(s) and
@@ -33,19 +31,10 @@ QLearningTrainer::TrainingOutput ParallelTrainer::TrainAll(
                                    : base_.TrainType(type, &tables[t]);
   });
 
-  // Phase 2 — the merge, single-threaded in catalog order: exactly the loop
-  // the serial TrainAll() runs, so AddType() interns symptom names in the
-  // same order and the serialized policy is byte-identical.
-  QLearningTrainer::TrainingOutput output;
-  for (std::size_t t = 0; t < num_types; ++t) {
-    if (!per_type[t].sequence.empty()) {
-      output.policy.AddType(
-          {std::string(platform.symptoms().Name(
-               platform.types().symptom_of(static_cast<ErrorTypeId>(t)))),
-           per_type[t].sequence});
-    }
-    output.per_type.push_back(std::move(per_type[t]));
-  }
+  // Phase 2 — the merge, single-threaded: the catalog-order assembly every
+  // serial TrainAll() uses, so the serialized policy is byte-identical.
+  QLearningTrainer::TrainingOutput output =
+      AssembleTrainingOutput(base_.platform(), std::move(per_type));
   if (tables_out != nullptr) *tables_out = std::move(tables);
   return output;
 }

@@ -5,8 +5,9 @@
 // embarrassingly parallel across types. This layer shards TrainAll() by
 // ErrorTypeId over a ThreadPool: each shard runs the *serial* trainer's own
 // TrainType() with the type's RNG stream derived from the master seed
-// (DeriveStream in common/rng.h), and the shards are merged back in catalog
-// order. Because a shard's draws depend only on (master seed, type) and the
+// (DeriveStream in common/rng.h), and the shards are merged back by the
+// serial trainers' own catalog-order AssembleTrainingOutput(). Because a
+// shard's draws depend only on (master seed, type) and the
 // merge order is fixed, the output — policy, per-type telemetry, and every
 // serialized Q-table byte — is identical to the serial trainer's for any
 // thread count, including 1. tests/rl/parallel_trainer_test.cc enforces

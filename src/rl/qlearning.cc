@@ -56,6 +56,8 @@ QLearningTrainer::QLearningTrainer(const SimulationPlatform& platform,
   AER_CHECK_LE(config_.gamma, 1.0);
   AER_CHECK_GE(config_.td_lambda, 0.0);
   AER_CHECK_LE(config_.td_lambda, 1.0);
+  AER_CHECK(!config_.double_q || config_.td_lambda == 0.0)
+      << "Double Q-learning is TD(0) only";
   for (const RecoveryProcess& p : training) {
     if (p.attempts().empty()) continue;
     const ErrorTypeId t = platform.types().Classify(p);
@@ -186,7 +188,6 @@ void QLearningTrainer::RunSweep(ErrorTypeId type,
     // Double Q-learning (TD(0) only): per transition, flip which table is
     // updated; the selected bootstrap action comes from the updated table,
     // its value from the other, decoupling selection from valuation.
-    AER_CHECK_EQ(lambda, 0.0);
     for (std::size_t t = 0; t < T; ++t) {
       QTable& update_table = rng.NextBool(0.5) ? table : *table_b;
       QTable& value_table = &update_table == &table ? *table_b : table;
@@ -250,8 +251,26 @@ void QLearningTrainer::RunSweep(ErrorTypeId type,
   record_sweep();
 }
 
+QLearningTrainer::PolicyReadout QLearningTrainer::GreedyReadout() const {
+  return {.read = [this](const QTable& table, ErrorTypeId type) {
+            return GreedySequence(table, type, config_.max_actions);
+          },
+          .stable_checks = config_.stable_checks,
+          .reread_final = true};
+}
+
 TypeTrainingResult QLearningTrainer::TrainType(ErrorTypeId type,
                                                QTable* table_out) const {
+  return Train(type, GreedyReadout(), table_out);
+}
+
+QLearningTrainer::TrainingOutput QLearningTrainer::TrainAll() const {
+  return TrainAll(GreedyReadout());
+}
+
+TypeTrainingResult QLearningTrainer::Train(ErrorTypeId type,
+                                           const PolicyReadout& readout,
+                                           QTable* table_out) const {
   AER_PROFILE_SCOPE("train_type");
   const auto processes = processes_of(type);
   TypeTrainingResult result;
@@ -264,16 +283,17 @@ TypeTrainingResult QLearningTrainer::TrainType(ErrorTypeId type,
   // produce the exact bytes the serial path produces.
   Rng rng(DeriveStream(config_.seed, static_cast<std::uint64_t>(type)));
   QTable table(config_.fixed_alpha);
-  QTable table_b(config_.fixed_alpha);
-  AER_CHECK(!config_.double_q || config_.td_lambda == 0.0);
+  QTable table_b(config_.fixed_alpha);  // Double Q twin (unused otherwise)
 
-  // Under Double Q the generated policy reads the merged (averaged) tables.
-  const auto merged_view = [&]() {
-    return MergeTablesByMean(table, table_b);
+  // Under Double Q the policy is read from the merged (averaged) tables.
+  const auto read = [&]() {
+    return config_.double_q
+               ? readout.read(MergeTablesByMean(table, table_b), type)
+               : readout.read(table, type);
   };
 
-  ActionSequence stable_sequence;
-  std::int64_t stable_since = 0;  // sweep at which stable_sequence appeared
+  ActionSequence stable_sequence;  // the last read
+  std::int64_t stable_since = 0;   // sweep at which stable_sequence appeared
   int stable_checks = 0;
 
   TypeTelemetry* telemetry =
@@ -285,18 +305,15 @@ TypeTrainingResult QLearningTrainer::TrainType(ErrorTypeId type,
              config_.double_q ? &table_b : nullptr, telemetry);
     if ((sweep + 1) % config_.check_every != 0) continue;
 
-    ActionSequence sequence =
-        config_.double_q
-            ? GreedySequence(merged_view(), type, config_.max_actions)
-            : GreedySequence(table, type, config_.max_actions);
-    if (sequence == stable_sequence) {
+    ActionSequence sequence = read();
+    if (!sequence.empty() && sequence == stable_sequence) {
       ++stable_checks;
     } else {
       stable_sequence = std::move(sequence);
       stable_since = sweep + 1;
       stable_checks = 1;
     }
-    if (stable_checks >= config_.stable_checks &&
+    if (stable_checks >= readout.stable_checks &&
         sweep + 1 >= config_.min_sweeps) {
       result.converged = true;
       break;
@@ -306,28 +323,39 @@ TypeTrainingResult QLearningTrainer::TrainType(ErrorTypeId type,
   result.sweeps = result.converged ? stable_since : config_.max_sweeps;
   result.episodes = sweep < config_.max_sweeps ? sweep + 1 : config_.max_sweeps;
   QTable final_table =
-      config_.double_q ? merged_view() : std::move(table);
-  result.sequence = GreedySequence(final_table, type, config_.max_actions);
+      config_.double_q ? MergeTablesByMean(table, table_b) : std::move(table);
+  result.sequence = readout.reread_final || stable_sequence.empty()
+                        ? readout.read(final_table, type)
+                        : std::move(stable_sequence);
   result.states_explored = final_table.num_states();
   if (telemetry != nullptr) FillCoverage(type, final_table, *telemetry);
   if (table_out != nullptr) *table_out = std::move(final_table);
   return result;
 }
 
-QLearningTrainer::TrainingOutput QLearningTrainer::TrainAll() const {
+QLearningTrainer::TrainingOutput QLearningTrainer::TrainAll(
+    const PolicyReadout& readout) const {
   AER_PROFILE_SCOPE("train_all");
-  TrainingOutput output;
+  std::vector<TypeTrainingResult> per_type;
   for (std::size_t t = 0; t < by_type_.size(); ++t) {
-    const ErrorTypeId type = static_cast<ErrorTypeId>(t);
-    TypeTrainingResult result = TrainType(type);
-    if (!result.sequence.empty()) {
-      output.policy.AddType(
-          {std::string(platform_.symptoms().Name(
-               platform_.types().symptom_of(type))),
-           result.sequence});
-    }
-    output.per_type.push_back(std::move(result));
+    per_type.push_back(Train(static_cast<ErrorTypeId>(t), readout, nullptr));
   }
+  return AssembleTrainingOutput(platform_, std::move(per_type));
+}
+
+QLearningTrainer::TrainingOutput AssembleTrainingOutput(
+    const SimulationPlatform& platform,
+    std::vector<TypeTrainingResult> per_type) {
+  AER_CHECK_EQ(per_type.size(), platform.types().num_types());
+  QLearningTrainer::TrainingOutput output;
+  for (std::size_t t = 0; t < per_type.size(); ++t) {
+    if (per_type[t].sequence.empty()) continue;
+    output.policy.AddType(
+        {std::string(platform.symptoms().Name(
+             platform.types().symptom_of(static_cast<ErrorTypeId>(t)))),
+         per_type[t].sequence});
+  }
+  output.per_type = std::move(per_type);
   return output;
 }
 

@@ -13,6 +13,7 @@
 #ifndef AER_RL_QLEARNING_H_
 #define AER_RL_QLEARNING_H_
 
+#include <functional>
 #include <span>
 
 #include "common/stats.h"
@@ -57,8 +58,8 @@ struct TrainerConfig {
   // Double Q-learning (van Hasselt): maintain two tables, select the
   // bootstrap action with one and value it with the other, alternating by
   // coin flip. Corrects the min-operator's systematic *underestimation* of
-  // costs (the mirror image of max-Q's over-optimism). Only affects the
-  // plain trainer's TD(0) path; incompatible with td_lambda > 0.
+  // costs (the mirror image of max-Q's over-optimism). TD(0) only: the
+  // trainer rejects it together with td_lambda > 0.
   bool double_q = false;
   // Collect per-sweep training telemetry (temperature, max |ΔQ|, visit
   // coverage) into TypeTrainingResult::telemetry. Pure observation: the
@@ -138,6 +139,31 @@ class QLearningTrainer {
  private:
   friend class SelectionTreeTrainer;
 
+  // What varies between trainers; the training loop is otherwise one.
+  struct PolicyReadout {
+    // The policy `type` follows under the Q values in `table` (the merged
+    // view under Double Q).
+    std::function<ActionSequence(const QTable& table, ErrorTypeId type)> read;
+    // Consecutive unchanged reads, one per check, that declare convergence.
+    int stable_checks = 0;
+    // The policy a run returns: read the final table again, or keep the
+    // last check's read. The two differ only when max_sweeps is not a
+    // multiple of check_every.
+    bool reread_final = true;
+  };
+
+  // The plain trainer's read-out: the greedy sequence (GreedySequence).
+  PolicyReadout GreedyReadout() const;
+
+  // The training loop (Figure 2): the sweeps on the type's DeriveStream RNG
+  // stream, a policy read every check_every sweeps, convergence once
+  // `readout.stable_checks` consecutive reads agree past min_sweeps.
+  TypeTrainingResult Train(ErrorTypeId type, const PolicyReadout& readout,
+                           QTable* table_out) const;
+
+  // Trains every type with `readout` and assembles the policy.
+  TrainingOutput TrainAll(const PolicyReadout& readout) const;
+
   // One episode: sample a process, roll out, update Q. `sweep` drives the
   // temperature. With `table_b` non-null, Double Q-learning: action
   // selection uses the mean of both tables and each transition updates one
@@ -158,6 +184,14 @@ class QLearningTrainer {
   TrainerConfig config_;
   std::vector<std::vector<const RecoveryProcess*>> by_type_;
 };
+
+// Assembles per-type results, indexed by ErrorTypeId, into one deployable
+// policy in catalog order: the single merge behind every TrainAll, so symptom
+// names intern in the same order whichever trainer, thread or shard produced
+// the results.
+QLearningTrainer::TrainingOutput AssembleTrainingOutput(
+    const SimulationPlatform& platform,
+    std::vector<TypeTrainingResult> per_type);
 
 }  // namespace aer
 

@@ -1,10 +1,6 @@
 #include "rl/selection_tree.h"
 
-#include <limits>
-#include <set>
-
 #include "common/check.h"
-#include "common/profiler.h"
 
 namespace aer {
 namespace {
@@ -65,135 +61,47 @@ SelectionTreeTrainer::SelectionTreeTrainer(const QLearningTrainer& base,
   AER_CHECK_GT(config_.stable_checks, 0);
 }
 
-TypeTrainingResult SelectionTreeTrainer::TrainType(ErrorTypeId type,
-                                                   QTable* table_out) const {
-  AER_PROFILE_SCOPE("train_type");
-  const auto processes = base_.processes_of(type);
+ActionSequence SelectionTreeTrainer::Scan(const QTable& table,
+                                          ErrorTypeId type) const {
   const TrainerConfig& tc = base_.config();
-
-  TypeTrainingResult result;
-  result.type = type;
-  result.training_processes = static_cast<std::int64_t>(processes.size());
-  if (processes.empty()) return result;
-
-  Rng rng(DeriveStream(tc.seed, static_cast<std::uint64_t>(type)));
-  QTable table(tc.fixed_alpha);
-  QTable table_b(tc.fixed_alpha);  // Double Q twin (unused otherwise)
-
-  const auto scan_tree = [&]() -> ActionSequence {
-    const QTable scan_table =
-        tc.double_q ? MergeTablesByMean(table, table_b) : QTable();
-    std::vector<ActionSequence> candidates = BuildCandidateSequences(
-        tc.double_q ? scan_table : table, type, tc.max_actions, config_);
-    if (config_.seed_escalation_candidates) {
-      const std::vector<RepairAction> allowed =
-          base_.platform().estimator().ObservedActions(type);
-      for (std::size_t start = 0; start < allowed.size(); ++start) {
-        // Escalate from allowed[start] upward, trying each level twice
-        // (covering repeated-requirement incidents).
-        ActionSequence seq;
-        for (std::size_t i = start; i < allowed.size(); ++i) {
-          seq.push_back(allowed[i]);
-          if (allowed[i] != RepairAction::kRma) seq.push_back(allowed[i]);
-        }
-        candidates.push_back(std::move(seq));
+  std::vector<ActionSequence> candidates =
+      BuildCandidateSequences(table, type, tc.max_actions, config_);
+  if (config_.seed_escalation_candidates) {
+    const std::vector<RepairAction> allowed =
+        base_.platform().estimator().ObservedActions(type);
+    for (std::size_t start = 0; start < allowed.size(); ++start) {
+      // Escalate from allowed[start] upward, trying each level twice
+      // (covering repeated-requirement incidents).
+      ActionSequence seq;
+      for (std::size_t i = start; i < allowed.size(); ++i) {
+        seq.push_back(allowed[i]);
+        if (allowed[i] != RepairAction::kRma) seq.push_back(allowed[i]);
       }
-    }
-
-    // Score every *prefix* of every candidate too: a path's tail may only
-    // ever execute for a handful of incidents and still drag the whole
-    // sequence down (e.g. wandering into the manual-repair cap for the one
-    // process the prefix already failed on cheaply).
-    std::set<ActionSequence> scored;
-    for (const ActionSequence& candidate : candidates) {
-      for (std::size_t len = 1; len <= candidate.size(); ++len) {
-        scored.insert(
-            ActionSequence(candidate.begin(),
-                           candidate.begin() + static_cast<std::ptrdiff_t>(len)));
-      }
-    }
-
-    ActionSequence best;
-    double best_cost = std::numeric_limits<double>::infinity();
-    std::int64_t best_cured = -1;
-    for (const ActionSequence& seq : scored) {
-      const SequenceEvaluation eval =
-          EvaluateSequence(seq, processes, type, base_.platform().estimator(),
-                           tc.max_actions);
-      // Strictly better cost wins; on a near-tie prefer more self-contained
-      // cures, then the shorter sequence, so dead tails (actions past the
-      // point where every training process is already cured) are dropped
-      // while genuinely-curing tails are kept.
-      const bool better =
-          eval.mean_cost < best_cost - 1e-9 ||
-          (eval.mean_cost < best_cost + 1e-9 &&
-           (eval.cured_by_sequence > best_cured ||
-            (eval.cured_by_sequence == best_cured &&
-             seq.size() < best.size())));
-      if (better) {
-        best_cost = eval.mean_cost;
-        best_cured = eval.cured_by_sequence;
-        best = seq;
-      }
-    }
-    return best;
-  };
-
-  ActionSequence stable_sequence;
-  std::int64_t stable_since = 0;
-  int stable_checks = 0;
-
-  TypeTelemetry* telemetry =
-      tc.collect_telemetry ? &result.telemetry : nullptr;
-
-  std::int64_t sweep = 0;
-  for (; sweep < tc.max_sweeps; ++sweep) {
-    base_.RunSweep(type, processes, sweep, table, rng,
-                   tc.double_q ? &table_b : nullptr, telemetry);
-    if ((sweep + 1) % tc.check_every != 0) continue;
-
-    ActionSequence sequence = scan_tree();
-    if (!sequence.empty() && sequence == stable_sequence) {
-      ++stable_checks;
-    } else {
-      stable_sequence = std::move(sequence);
-      stable_since = sweep + 1;
-      stable_checks = 1;
-    }
-    if (stable_checks >= config_.stable_checks &&
-        sweep + 1 >= tc.min_sweeps) {
-      result.converged = true;
-      break;
+      candidates.push_back(std::move(seq));
     }
   }
 
-  result.sweeps = result.converged ? stable_since : tc.max_sweeps;
-  result.episodes = sweep < tc.max_sweeps ? sweep + 1 : tc.max_sweeps;
-  result.sequence = stable_sequence.empty() ? scan_tree() : stable_sequence;
-  QTable final_table =
-      tc.double_q ? MergeTablesByMean(table, table_b) : std::move(table);
-  result.states_explored = final_table.num_states();
-  if (telemetry != nullptr) base_.FillCoverage(type, final_table, *telemetry);
-  if (table_out != nullptr) *table_out = std::move(final_table);
-  return result;
+  return CheapestPrefix(candidates, base_.processes_of(type), type,
+                        base_.platform().estimator(), tc.max_actions,
+                        base_.platform().capabilities());
+}
+
+QLearningTrainer::PolicyReadout SelectionTreeTrainer::Readout() const {
+  // The scan is the expensive read, so a run returns its last scan rather
+  // than scanning the final table again.
+  return {.read = [this](const QTable& table,
+                         ErrorTypeId type) { return Scan(table, type); },
+          .stable_checks = config_.stable_checks,
+          .reread_final = false};
+}
+
+TypeTrainingResult SelectionTreeTrainer::TrainType(ErrorTypeId type,
+                                                   QTable* table_out) const {
+  return base_.Train(type, Readout(), table_out);
 }
 
 QLearningTrainer::TrainingOutput SelectionTreeTrainer::TrainAll() const {
-  AER_PROFILE_SCOPE("train_all");
-  QLearningTrainer::TrainingOutput output;
-  const SimulationPlatform& platform = base_.platform();
-  for (std::size_t t = 0; t < platform.types().num_types(); ++t) {
-    const ErrorTypeId type = static_cast<ErrorTypeId>(t);
-    TypeTrainingResult result = TrainType(type);
-    if (!result.sequence.empty()) {
-      output.policy.AddType(
-          {std::string(platform.symptoms().Name(
-               platform.types().symptom_of(type))),
-           result.sequence});
-    }
-    output.per_type.push_back(std::move(result));
-  }
-  return output;
+  return base_.TrainAll(Readout());
 }
 
 }  // namespace aer

@@ -47,10 +47,12 @@ std::vector<ActionSequence> BuildCandidateSequences(
     const QTable& table, ErrorTypeId type, int max_actions,
     const SelectionTreeConfig& config);
 
+// The selection tree as a policy read-out over QLearningTrainer's training
+// loop: the same sweeps, RNG stream and Q table(s), with each check reading
+// the policy by candidate enumeration plus an exact scan, and convergence
+// after SelectionTreeConfig::stable_checks unchanged scans.
 class SelectionTreeTrainer {
  public:
-  // Wraps a QLearningTrainer: same sweeps, different policy generation and
-  // convergence rule.
   SelectionTreeTrainer(const QLearningTrainer& base,
                        SelectionTreeConfig config);
 
@@ -63,6 +65,12 @@ class SelectionTreeTrainer {
   const QLearningTrainer& base() const { return base_; }
 
  private:
+  QLearningTrainer::PolicyReadout Readout() const;
+
+  // The read-out: the cheapest of the tree's candidates and all their
+  // prefixes, each priced exactly against the type's training processes.
+  ActionSequence Scan(const QTable& table, ErrorTypeId type) const;
+
   const QLearningTrainer& base_;
   SelectionTreeConfig config_;
 };

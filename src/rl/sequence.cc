@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <set>
 
 #include "common/check.h"
 
@@ -69,6 +70,42 @@ SequenceEvaluation EvaluateSequence(
                        ? eval.total_cost / static_cast<double>(eval.processes)
                        : 0.0;
   return eval;
+}
+
+ActionSequence CheapestPrefix(
+    std::span<const ActionSequence> candidates,
+    std::span<const RecoveryProcess* const> processes, ErrorTypeId type,
+    const CostEstimator& estimator, int max_actions,
+    const CapabilityModel& capabilities) {
+  std::set<ActionSequence> scored;
+  for (const ActionSequence& candidate : candidates) {
+    for (auto end = candidate.begin(); end != candidate.end();) {
+      scored.insert(ActionSequence(candidate.begin(), ++end));
+    }
+  }
+  ActionSequence best;
+  double best_cost = std::numeric_limits<double>::infinity();
+  std::int64_t best_cured = -1;
+  for (const ActionSequence& seq : scored) {
+    const SequenceEvaluation eval =
+        EvaluateSequence(seq, processes, type, estimator, max_actions,
+                         Terminalization::kEscalate, capabilities);
+    // Preferring self-contained cures, then brevity, drops dead tails
+    // (actions past the point where every process is already cured) while
+    // keeping genuinely-curing ones.
+    const bool better =
+        eval.mean_cost < best_cost - 1e-9 ||
+        (eval.mean_cost < best_cost + 1e-9 &&
+         (eval.cured_by_sequence > best_cured ||
+          (eval.cured_by_sequence == best_cured &&
+           seq.size() < best.size())));
+    if (better) {
+      best_cost = eval.mean_cost;
+      best_cured = eval.cured_by_sequence;
+      best = seq;
+    }
+  }
+  return best;
 }
 
 namespace {

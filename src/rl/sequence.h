@@ -62,6 +62,17 @@ SequenceEvaluation EvaluateSequence(
     Terminalization terminalization = Terminalization::kEscalate,
     const CapabilityModel& capabilities = CapabilityModel::TotalOrder());
 
+// The cheapest of `candidates` and all their prefixes by exact evaluation
+// (EvaluateSequence with kEscalate). Scoring prefixes drops tails that only
+// ever execute for a handful of incidents yet drag a whole sequence down.
+// Within a 1e-9 near-tie the sequence that cures more processes by itself
+// wins, then the shorter one. Empty if `candidates` is.
+ActionSequence CheapestPrefix(
+    std::span<const ActionSequence> candidates,
+    std::span<const RecoveryProcess* const> processes, ErrorTypeId type,
+    const CostEstimator& estimator, int max_actions,
+    const CapabilityModel& capabilities);
+
 struct ExactSearchConfig {
   // Longest sequence considered (before terminalization). The optimum is
   // short in practice: appending actions only pays while uncured processes

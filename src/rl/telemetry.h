@@ -1,10 +1,10 @@
 // Publishes training telemetry into a MetricsRegistry.
 //
-// The per-type TypeTelemetry shards (collected by QLearningTrainer /
-// SelectionTreeTrainer when TrainerConfig::collect_telemetry is set) are
-// folded in the order they appear in `per_type` — the catalog order for both
-// the serial TrainAll() and ParallelTrainer::TrainAll() — so the published
-// aer_training_* metrics are bit-identical for any thread count.
+// The per-type TypeTelemetry shards (collected by the training loop when
+// TrainerConfig::collect_telemetry is set) are folded in the order they
+// appear in `per_type` — the catalog order AssembleTrainingOutput() gives
+// every TrainAll() — so the published aer_training_* metrics are
+// bit-identical for any thread count.
 //
 // Throughput (episodes/sec) is wall-clock-derived and therefore registered
 // as a *volatile* gauge: deterministic snapshots exclude it

@@ -113,8 +113,8 @@ TEST(DoubleQDeathTest, IncompatibleWithTdLambda) {
   Fixture fx;
   TrainerConfig config = Config(true);
   config.td_lambda = 0.5;
-  const QLearningTrainer trainer(fx.platform, fx.processes, config);
-  EXPECT_DEATH(trainer.TrainType(0), "AER_CHECK");
+  EXPECT_DEATH(QLearningTrainer(fx.platform, fx.processes, config),
+               "AER_CHECK");
 }
 
 }  // namespace

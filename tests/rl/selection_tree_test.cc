@@ -1,5 +1,9 @@
 #include "rl/selection_tree.h"
 
+#include <limits>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 namespace aer {
@@ -207,6 +211,73 @@ TEST(SelectionTreeTrainerTest, SeedingDisabledStillWorksOnWellSampledType) {
                        fx.platform.estimator(), 20)
           .mean_cost;
   EXPECT_NEAR(got, best, best * 0.02);
+}
+
+// The tree scan must price candidates under the platform's capability model,
+// as the Q-learning episodes do. Half the incidents need REIMAGE, half need
+// REBOOT (after a failed TRYNOP). Under the paper's total order REIMAGE also
+// covers the REBOOT requirement, so reimaging first is cheapest; with
+// substitution off (IdentityOnly) it is not.
+TEST(SelectionTreeTrainerTest, ScanPricesUnderPlatformCapabilities) {
+  SymptomTable symptoms;
+  std::vector<RecoveryProcess> processes;
+  SimTime start = 0;
+  MachineId m = 0;
+  for (int i = 0; i < 30; ++i) {
+    processes.push_back(MakeProcess({{I, 3000}}, 0, m++, start));
+    processes.push_back(
+        MakeProcess({{Y, 900}, {B, 2400}}, 0, m++, start + 5));
+    start += 10;
+  }
+  const ErrorTypeCatalog catalog(processes, 40);
+  symptoms.Intern("reboot-or-reimage");
+  const CapabilityModel& identity = CapabilityModel::IdentityOnly();
+  const SimulationPlatform platform(processes, catalog, symptoms, 20,
+                                    identity);
+  const QLearningTrainer base(platform, processes, FastConfig());
+  const TypeTrainingResult result =
+      SelectionTreeTrainer(base, SelectionTreeConfig{}).TrainType(0);
+  ASSERT_FALSE(result.sequence.empty());
+
+  const auto cost = [&](const ActionSequence& seq,
+                        const CapabilityModel& model) {
+    return EvaluateSequence(seq, base.processes_of(0), 0,
+                            platform.estimator(), 20,
+                            Terminalization::kEscalate, model)
+        .mean_cost;
+  };
+  // Exhaustive optimum over the observed actions, up to three steps, under
+  // each model.
+  const std::vector<RepairAction> observed =
+      platform.estimator().ObservedActions(0);
+  const auto best_under = [&](const CapabilityModel& model) {
+    ActionSequence best;
+    double best_cost = std::numeric_limits<double>::infinity();
+    std::vector<ActionSequence> frontier = {{}};
+    for (int depth = 0; depth < 3; ++depth) {
+      std::vector<ActionSequence> next;
+      for (const ActionSequence& prefix : frontier) {
+        for (const RepairAction a : observed) {
+          ActionSequence seq = prefix;
+          seq.push_back(a);
+          const double c = cost(seq, model);
+          if (c < best_cost - 1e-9) {
+            best_cost = c;
+            best = seq;
+          }
+          next.push_back(std::move(seq));
+        }
+      }
+      frontier = std::move(next);
+    }
+    return best;
+  };
+  const ActionSequence identity_best = best_under(identity);
+  const ActionSequence total_best = best_under(CapabilityModel::TotalOrder());
+  // The models must disagree here, or the test proves nothing.
+  ASSERT_GT(cost(total_best, identity), cost(identity_best, identity) + 1.0);
+  EXPECT_NEAR(cost(result.sequence, identity), cost(identity_best, identity),
+              1e-6);
 }
 
 }  // namespace
