@@ -6,7 +6,9 @@
 // runs must produce byte-identical serialized policies (the determinism
 // contract); the bench aborts if they ever diverge, and folds the serialized
 // policy and every per-type Q-table into the BENCH_training.json checksum so
-// run_all.py catches numeric drift across commits.
+// run_all.py catches numeric drift across commits. The selection-tree
+// trainer, whose exact prefix scans the plain arms never run, gets the same
+// serial-vs-sharded pair, its own gate and its policy in the checksum.
 //
 // This TU also carries the compiled-out profiler proof: it defines
 // AER_PROFILING_DISABLED before including profiler.h — the state every TU
@@ -30,6 +32,7 @@
 #include "obs/timeseries.h"
 #include "rl/parallel_trainer.h"
 #include "rl/qlearning.h"
+#include "rl/selection_tree.h"
 #include "rl/telemetry.h"
 #include "sim/platform.h"
 
@@ -65,7 +68,8 @@ void Run() {
   const ErrorTypeCatalog types(dataset.clean, 40);
   const SimulationPlatform platform(
       dataset.clean, types, dataset.trace.result.log.symptoms(), 20);
-  const TrainerConfig config = DefaultExperimentConfig().trainer;
+  const ExperimentConfig experiment = DefaultExperimentConfig();
+  const TrainerConfig config = experiment.trainer;
   const QLearningTrainer trainer(platform, dataset.clean, config);
 
   // Serial arm: the unmodified reference trainer.
@@ -94,6 +98,27 @@ void Run() {
   AER_CHECK_EQ(episodes, ParallelTrainer::TotalEpisodes(parallel));
   const double serial_eps = episodes / (serial_ms / 1000.0);
   const double parallel_eps = episodes / (parallel_ms / 1000.0);
+
+  // Selection-tree arms: the policy generation the experiments deploy,
+  // serial and sharded, under the same byte-identity gate.
+  const SelectionTreeTrainer tree(trainer, experiment.tree);
+  const auto tree_serial_start = std::chrono::steady_clock::now();
+  const QLearningTrainer::TrainingOutput tree_serial = tree.TrainAll();
+  const double tree_serial_ms = MsSince(tree_serial_start);
+  const auto tree_parallel_start = std::chrono::steady_clock::now();
+  const QLearningTrainer::TrainingOutput tree_parallel =
+      ParallelTrainer(tree, pool).TrainAll();
+  const double tree_parallel_ms = MsSince(tree_parallel_start);
+  std::ostringstream tree_serial_bytes;
+  tree_serial.policy.Write(tree_serial_bytes);
+  std::ostringstream tree_bytes;
+  tree_parallel.policy.Write(tree_bytes);
+  AER_CHECK(tree_serial_bytes.str() == tree_bytes.str())
+      << "parallel selection-tree training diverged from the serial trainer";
+  const std::int64_t tree_episodes =
+      ParallelTrainer::TotalEpisodes(tree_serial);
+  AER_CHECK_EQ(tree_episodes, ParallelTrainer::TotalEpisodes(tree_parallel));
+  const double tree_eps = tree_episodes / (tree_serial_ms / 1000.0);
 
   // Runtime half of the compiled-out profiler proof (the compile-time half
   // is the static_assert above): a million disabled scopes leave the global
@@ -164,7 +189,9 @@ void Run() {
     table.Write(table_bytes);
     record.FoldChecksum(table_bytes.str());
   }
+  record.FoldChecksum(tree_bytes.str());
   record.SetIntMetric("episodes", episodes);
+  record.SetIntMetric("tree_episodes", tree_episodes);
   record.SetIntMetric("types", static_cast<std::int64_t>(types.num_types()));
   record.SetMetric("serial_wall_ms", serial_ms);
   record.SetMetric("parallel_wall_ms", parallel_ms);
@@ -176,19 +203,29 @@ void Run() {
 
   record.SetMetric("episodes_per_sec_telemetry", telemetry_eps);
   record.SetMetric("telemetry_wall_ms", telemetry_ms);
+  // The gated tree throughput is the serial arm's: on one thread a slower
+  // scan shows in full, without the pool's scheduling noise.
+  record.SetMetric("episodes_per_sec_tree", tree_eps);
+  record.SetMetric("tree_serial_wall_ms", tree_serial_ms);
+  record.SetMetric("tree_parallel_wall_ms", tree_parallel_ms);
 
   std::printf("\n%-10s %14s %16s\n", "arm", "wall ms", "episodes/sec");
   std::printf("%-10s %14.1f %16.1f\n", "serial", serial_ms, serial_eps);
   std::printf("%-10s %14.1f %16.1f\n", "parallel", parallel_ms, parallel_eps);
   std::printf("%-10s %14.1f %16.1f\n", "telemetry", telemetry_ms,
               telemetry_eps);
+  std::printf("%-10s %14.1f %16.1f\n", "tree", tree_serial_ms, tree_eps);
+  std::printf("%-10s %14.1f %16.1f\n", "tree par.", tree_parallel_ms,
+              tree_episodes / (tree_parallel_ms / 1000.0));
   std::printf("\nepisodes: %lld across %zu types, %d worker thread(s), "
               "speedup %.2fx\n",
               static_cast<long long>(episodes), types.num_types(),
               ThreadPool::DefaultThreadCount(),
               serial_eps > 0.0 ? parallel_eps / serial_eps : 0.0);
-  std::printf("serialized policies: identical (%zu bytes)\n",
-              parallel_bytes.str().size());
+  std::printf("serialized policies: identical (%zu bytes; tree %zu bytes, "
+              "%lld episodes)\n",
+              parallel_bytes.str().size(), tree_bytes.str().size(),
+              static_cast<long long>(tree_episodes));
   std::printf("time series: %lld windows closed, %lld dropped\n",
               static_cast<long long>(recorder.windows_closed()),
               static_cast<long long>(recorder.windows_dropped()));

@@ -194,9 +194,10 @@ ActionSequence ApproxQLearningTrainer::ExtractSequence(
 
   // ...then the selection-tree scan's exact prefix pruning: linear Q tails
   // can wander once every process is effectively cured.
+  PrefixPriceMemo memo;
   return CheapestPrefix(std::span(&greedy, 1), processes, type,
                         platform_.estimator(), config_.max_actions,
-                        platform_.capabilities());
+                        platform_.capabilities(), memo);
 }
 
 ApproxQLearningTrainer::Output ApproxQLearningTrainer::Train() const {

@@ -93,8 +93,26 @@ void QLearningTrainer::FillCoverage(ErrorTypeId type, const QTable& table,
           : 0.0;
 }
 
+QLearningTrainer::SweepActions QLearningTrainer::SweepActionsOf(
+    ErrorTypeId type) const {
+  SweepActions actions;
+  actions.allowed = platform_.estimator().ObservedActions(type);
+  AER_CHECK(!actions.allowed.empty());
+  // Unexplored (s, a) pairs are priced at the action's immediate success
+  // cost — the admissible optimistic bound (a cure can never cost less than
+  // executing the action once). Initializing at 0 instead makes long chains
+  // of cheap actions look free, and with α = 1/(1+visits) the inflated
+  // optimism unwinds too slowly to ever recover.
+  for (RepairAction a : kAllActions) {
+    actions.init_q[static_cast<std::size_t>(ActionIndex(a))] =
+        platform_.estimator().EstimateCost(type, a, /*success=*/true);
+  }
+  return actions;
+}
+
 void QLearningTrainer::RunSweep(ErrorTypeId type,
                                 std::span<const RecoveryProcess* const> processes,
+                                const SweepActions& actions,
                                 std::int64_t sweep, QTable& table, Rng& rng,
                                 QTable* table_b,
                                 TypeTelemetry* telemetry) const {
@@ -104,21 +122,10 @@ void QLearningTrainer::RunSweep(ErrorTypeId type,
   ProcessReplay replay(p, type, platform_.estimator(),
                        platform_.capabilities());
 
-  const std::vector<RepairAction> allowed =
-      platform_.estimator().ObservedActions(type);
-  AER_CHECK(!allowed.empty());
+  const std::vector<RepairAction>& allowed = actions.allowed;
+  const std::array<double, kNumActions>& init_q = actions.init_q;
   const double temperature = config_.temperature.At(sweep);
 
-  // Unexplored (s, a) pairs are priced at the action's immediate success
-  // cost — the admissible optimistic bound (a cure can never cost less than
-  // executing the action once). Initializing at 0 instead makes long chains
-  // of cheap actions look free, and with α = 1/(1+visits) the inflated
-  // optimism unwinds too slowly to ever recover.
-  std::array<double, kNumActions> init_q;
-  for (RepairAction a : kAllActions) {
-    init_q[static_cast<std::size_t>(ActionIndex(a))] =
-        platform_.estimator().EstimateCost(type, a, /*success=*/true);
-  }
   const auto q_of = [&](const QTable& q, StateKey s, RepairAction a) {
     return q.Has(s, a) ? q.Q(s, a)
                        : init_q[static_cast<std::size_t>(ActionIndex(a))];
@@ -252,7 +259,8 @@ void QLearningTrainer::RunSweep(ErrorTypeId type,
 }
 
 QLearningTrainer::PolicyReadout QLearningTrainer::GreedyReadout() const {
-  return {.read = [this](const QTable& table, ErrorTypeId type) {
+  return {.read = [this](const QTable& table, ErrorTypeId type,
+                         PrefixPriceMemo& /*memo*/) {
             return GreedySequence(table, type, config_.max_actions);
           },
           .stable_checks = config_.stable_checks,
@@ -285,11 +293,11 @@ TypeTrainingResult QLearningTrainer::Train(ErrorTypeId type,
   QTable table(config_.fixed_alpha);
   QTable table_b(config_.fixed_alpha);  // Double Q twin (unused otherwise)
 
-  // Under Double Q the policy is read from the merged (averaged) tables.
-  const auto read = [&]() {
-    return config_.double_q
-               ? readout.read(MergeTablesByMean(table, table_b), type)
-               : readout.read(table, type);
+  const SweepActions actions = SweepActionsOf(type);
+  PrefixPriceMemo memo;  // prices do not depend on Q: one memo per type
+  const auto read = [&](const QTable& q) {
+    AER_PROFILE_SCOPE("train_scan");
+    return readout.read(q, type, memo);
   };
 
   ActionSequence stable_sequence;  // the last read
@@ -301,11 +309,14 @@ TypeTrainingResult QLearningTrainer::Train(ErrorTypeId type,
 
   std::int64_t sweep = 0;
   for (; sweep < config_.max_sweeps; ++sweep) {
-    RunSweep(type, processes, sweep, table, rng,
+    RunSweep(type, processes, actions, sweep, table, rng,
              config_.double_q ? &table_b : nullptr, telemetry);
     if ((sweep + 1) % config_.check_every != 0) continue;
 
-    ActionSequence sequence = read();
+    // Under Double Q the policy is read from the merged (averaged) tables.
+    ActionSequence sequence = config_.double_q
+                                  ? read(MergeTablesByMean(table, table_b))
+                                  : read(table);
     if (!sequence.empty() && sequence == stable_sequence) {
       ++stable_checks;
     } else {
@@ -325,7 +336,7 @@ TypeTrainingResult QLearningTrainer::Train(ErrorTypeId type,
   QTable final_table =
       config_.double_q ? MergeTablesByMean(table, table_b) : std::move(table);
   result.sequence = readout.reread_final || stable_sequence.empty()
-                        ? readout.read(final_table, type)
+                        ? read(final_table)
                         : std::move(stable_sequence);
   result.states_explored = final_table.num_states();
   if (telemetry != nullptr) FillCoverage(type, final_table, *telemetry);

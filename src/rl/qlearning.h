@@ -13,8 +13,10 @@
 #ifndef AER_RL_QLEARNING_H_
 #define AER_RL_QLEARNING_H_
 
+#include <array>
 #include <functional>
 #include <span>
+#include <vector>
 
 #include "common/stats.h"
 #include "rl/boltzmann.h"
@@ -142,8 +144,11 @@ class QLearningTrainer {
   // What varies between trainers; the training loop is otherwise one.
   struct PolicyReadout {
     // The policy `type` follows under the Q values in `table` (the merged
-    // view under Double Q).
-    std::function<ActionSequence(const QTable& table, ErrorTypeId type)> read;
+    // view under Double Q). `memo` lives for one Train call, so it holds
+    // prices of `type`'s sequences only; a read that prices none ignores it.
+    std::function<ActionSequence(const QTable& table, ErrorTypeId type,
+                                 PrefixPriceMemo& memo)>
+        read;
     // Consecutive unchanged reads, one per check, that declare convergence.
     int stable_checks = 0;
     // The policy a run returns: read the final table again, or keep the
@@ -164,6 +169,15 @@ class QLearningTrainer {
   // Trains every type with `readout` and assembles the policy.
   TrainingOutput TrainAll(const PolicyReadout& readout) const;
 
+  // What every sweep of one type shares, computed once per Train call.
+  struct SweepActions {
+    // The type's observed actions: the exploration repertoire.
+    std::vector<RepairAction> allowed;
+    // Q value of an unexplored (s, a), indexed by ActionIndex(a).
+    std::array<double, kNumActions> init_q = {};
+  };
+  SweepActions SweepActionsOf(ErrorTypeId type) const;
+
   // One episode: sample a process, roll out, update Q. `sweep` drives the
   // temperature. With `table_b` non-null, Double Q-learning: action
   // selection uses the mean of both tables and each transition updates one
@@ -172,9 +186,9 @@ class QLearningTrainer {
   // only — identical table bytes either way).
   void RunSweep(ErrorTypeId type,
                 std::span<const RecoveryProcess* const> processes,
-                std::int64_t sweep, QTable& table, Rng& rng,
-                QTable* table_b = nullptr,
-                TypeTelemetry* telemetry = nullptr) const;
+                const SweepActions& actions, std::int64_t sweep,
+                QTable& table, Rng& rng, QTable* table_b,
+                TypeTelemetry* telemetry) const;
 
   // Fills the coverage fields of `telemetry` from a finished table.
   void FillCoverage(ErrorTypeId type, const QTable& table,

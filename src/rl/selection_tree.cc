@@ -62,7 +62,8 @@ SelectionTreeTrainer::SelectionTreeTrainer(const QLearningTrainer& base,
 }
 
 ActionSequence SelectionTreeTrainer::Scan(const QTable& table,
-                                          ErrorTypeId type) const {
+                                          ErrorTypeId type,
+                                          PrefixPriceMemo& memo) const {
   const TrainerConfig& tc = base_.config();
   std::vector<ActionSequence> candidates =
       BuildCandidateSequences(table, type, tc.max_actions, config_);
@@ -83,14 +84,16 @@ ActionSequence SelectionTreeTrainer::Scan(const QTable& table,
 
   return CheapestPrefix(candidates, base_.processes_of(type), type,
                         base_.platform().estimator(), tc.max_actions,
-                        base_.platform().capabilities());
+                        base_.platform().capabilities(), memo);
 }
 
 QLearningTrainer::PolicyReadout SelectionTreeTrainer::Readout() const {
   // The scan is the expensive read, so a run returns its last scan rather
   // than scanning the final table again.
-  return {.read = [this](const QTable& table,
-                         ErrorTypeId type) { return Scan(table, type); },
+  return {.read = [this](const QTable& table, ErrorTypeId type,
+                         PrefixPriceMemo& memo) {
+            return Scan(table, type, memo);
+          },
           .stable_checks = config_.stable_checks,
           .reread_final = false};
 }

@@ -68,8 +68,10 @@ class SelectionTreeTrainer {
   QLearningTrainer::PolicyReadout Readout() const;
 
   // The read-out: the cheapest of the tree's candidates and all their
-  // prefixes, each priced exactly against the type's training processes.
-  ActionSequence Scan(const QTable& table, ErrorTypeId type) const;
+  // prefixes, each priced exactly against the type's training processes
+  // (prices memoized in `memo` across the checks of one Train call).
+  ActionSequence Scan(const QTable& table, ErrorTypeId type,
+                      PrefixPriceMemo& memo) const;
 
   const QLearningTrainer& base_;
   SelectionTreeConfig config_;

@@ -8,39 +8,44 @@
 
 namespace aer {
 
-double SequenceCostOnProcess(std::span<const RepairAction> sequence,
-                             const RecoveryProcess& process, ErrorTypeId type,
-                             const CostEstimator& estimator, int max_actions,
-                             Terminalization terminalization,
-                             bool* cured_by_sequence,
-                             const CapabilityModel& capabilities) {
-  AER_CHECK_GE(max_actions, 1);
-  ProcessReplay replay(process, type, estimator, capabilities);
-  int steps = 0;
+namespace {
+
+// A replay partway through a sequence, with what terminalization needs.
+struct SequenceProgress {
+  ProcessReplay replay;
   RepairAction strongest = RepairAction::kTryNop;
   std::array<int, kNumActions> used = {};
-  for (RepairAction a : sequence) {
-    if (replay.cured() || steps >= max_actions - 1) break;
+
+  // Executes `a` as the sequence's next action unless the process is cured
+  // or only the cap's manual-repair slot is left. False if `a` was skipped.
+  bool Advance(RepairAction a, int max_actions) {
+    if (replay.cured() || replay.steps() >= max_actions - 1) return false;
     replay.Step(a);
-    ++steps;
     ++used[static_cast<std::size_t>(ActionIndex(a))];
     if (ActionStrength(a) > ActionStrength(strongest)) strongest = a;
+    return true;
   }
-  if (cured_by_sequence != nullptr) *cured_by_sequence = replay.cured();
+};
 
+// Steps `progress.replay`, a sequence's exhausted replay, to the end of the
+// recovery and returns its total simulated downtime: under kEscalate keep
+// escalating from the strongest level the sequence reached, with each level
+// tried up to twice overall (counting the sequence's own uses of it), manual
+// repair once; then manual repair at the cap if still uncured. `observed` is
+// the type's ObservedActions.
+double Terminalize(SequenceProgress& progress,
+                   std::span<const RepairAction> observed, int max_actions,
+                   Terminalization terminalization) {
+  ProcessReplay& replay = progress.replay;
   if (!replay.cured() && terminalization == Terminalization::kEscalate) {
-    // Keep escalating from the strongest level the sequence reached, with
-    // each level tried up to twice overall (counting the sequence's own
-    // uses of it), manual repair once.
-    for (RepairAction a : estimator.ObservedActions(type)) {
-      if (!AtLeastAsStrong(a, strongest)) continue;
+    for (RepairAction a : observed) {
+      if (!AtLeastAsStrong(a, progress.strongest)) continue;
       const int budget = a == RepairAction::kRma ? 1 : 2;
       const int tries =
-          budget - used[static_cast<std::size_t>(ActionIndex(a))];
+          budget - progress.used[static_cast<std::size_t>(ActionIndex(a))];
       for (int i = 0; i < tries; ++i) {
-        if (replay.cured() || steps >= max_actions - 1) break;
+        if (replay.cured() || replay.steps() >= max_actions - 1) break;
         replay.Step(a);
-        ++steps;
       }
       if (replay.cured()) break;
     }
@@ -49,6 +54,85 @@ double SequenceCostOnProcess(std::span<const RepairAction> sequence,
     replay.Step(RepairAction::kRma);  // forced manual repair at the cap
   }
   return replay.total_cost();
+}
+
+double MeanCost(const SequenceEvaluation& eval) {
+  return eval.processes > 0
+             ? eval.total_cost / static_cast<double>(eval.processes)
+             : 0.0;
+}
+
+// Adds the prices of every prefix of `candidate` missing from `memo`, each
+// exactly as EvaluateSequence(prefix, ..., kEscalate) prices it, with one
+// replay walk per process: the replay steps along the candidate and, at each
+// missing prefix length, is terminalized and rewound. Once the replay is
+// cured or capped it stops moving, so every longer prefix costs what the
+// last one did. Costs are summed over processes in their order, as
+// EvaluateSequence sums them.
+void PricePrefixes(std::span<const RepairAction> candidate,
+                   std::span<const RecoveryProcess* const> processes,
+                   ErrorTypeId type, const CostEstimator& estimator,
+                   int max_actions, const CapabilityModel& capabilities,
+                   PrefixPriceMemo& memo) {
+  // The memo is prefix-closed (a walk adds every prefix its candidate was
+  // missing), so the priced prefixes of `candidate` are its first `priced`.
+  std::size_t priced = candidate.size();
+  while (priced > 0 &&
+         !memo.contains(ActionSequence(candidate.begin(),
+                                       candidate.begin() + priced))) {
+    --priced;
+  }
+  if (priced == candidate.size()) return;
+
+  AER_CHECK_GE(max_actions, 1);
+  const std::vector<RepairAction> observed = estimator.ObservedActions(type);
+  std::vector<SequenceEvaluation> evals(candidate.size());
+  for (const RecoveryProcess* p : processes) {
+    SequenceProgress progress{
+        ProcessReplay(*p, type, estimator, capabilities)};
+    double cost = 0.0;
+    for (std::size_t k = 0; k < candidate.size(); ++k) {
+      const bool moved = progress.Advance(candidate[k], max_actions);
+      if (k < priced) continue;
+      if (moved || k == priced) {
+        const ProcessReplay::Mark mark = progress.replay.Save();
+        cost = Terminalize(progress, observed, max_actions,
+                           Terminalization::kEscalate);
+        progress.replay.Rewind(mark);
+      }
+      SequenceEvaluation& eval = evals[k];
+      eval.total_cost += cost;
+      (progress.replay.cured() ? eval.cured_by_sequence : eval.terminalized) +=
+          1;
+      ++eval.processes;
+    }
+  }
+  for (std::size_t k = priced; k < candidate.size(); ++k) {
+    evals[k].mean_cost = MeanCost(evals[k]);
+    memo.emplace(ActionSequence(candidate.begin(), candidate.begin() + k + 1),
+                 evals[k]);
+  }
+}
+
+}  // namespace
+
+double SequenceCostOnProcess(std::span<const RepairAction> sequence,
+                             const RecoveryProcess& process, ErrorTypeId type,
+                             const CostEstimator& estimator, int max_actions,
+                             Terminalization terminalization,
+                             bool* cured_by_sequence,
+                             const CapabilityModel& capabilities) {
+  AER_CHECK_GE(max_actions, 1);
+  SequenceProgress progress{
+      ProcessReplay(process, type, estimator, capabilities)};
+  for (RepairAction a : sequence) {
+    if (!progress.Advance(a, max_actions)) break;
+  }
+  if (cured_by_sequence != nullptr) {
+    *cured_by_sequence = progress.replay.cured();
+  }
+  return Terminalize(progress, estimator.ObservedActions(type), max_actions,
+                     terminalization);
 }
 
 SequenceEvaluation EvaluateSequence(
@@ -66,9 +150,7 @@ SequenceEvaluation EvaluateSequence(
     (cured ? eval.cured_by_sequence : eval.terminalized) += 1;
     ++eval.processes;
   }
-  eval.mean_cost = eval.processes > 0
-                       ? eval.total_cost / static_cast<double>(eval.processes)
-                       : 0.0;
+  eval.mean_cost = MeanCost(eval);
   return eval;
 }
 
@@ -76,9 +158,11 @@ ActionSequence CheapestPrefix(
     std::span<const ActionSequence> candidates,
     std::span<const RecoveryProcess* const> processes, ErrorTypeId type,
     const CostEstimator& estimator, int max_actions,
-    const CapabilityModel& capabilities) {
+    const CapabilityModel& capabilities, PrefixPriceMemo& memo) {
   std::set<ActionSequence> scored;
   for (const ActionSequence& candidate : candidates) {
+    PricePrefixes(candidate, processes, type, estimator, max_actions,
+                  capabilities, memo);
     for (auto end = candidate.begin(); end != candidate.end();) {
       scored.insert(ActionSequence(candidate.begin(), ++end));
     }
@@ -87,9 +171,9 @@ ActionSequence CheapestPrefix(
   double best_cost = std::numeric_limits<double>::infinity();
   std::int64_t best_cured = -1;
   for (const ActionSequence& seq : scored) {
-    const SequenceEvaluation eval =
-        EvaluateSequence(seq, processes, type, estimator, max_actions,
-                         Terminalization::kEscalate, capabilities);
+    const auto priced = memo.find(seq);
+    AER_CHECK(priced != memo.end()) << "prefix scored but never priced";
+    const SequenceEvaluation& eval = priced->second;
     // Preferring self-contained cures, then brevity, drops dead tails
     // (actions past the point where every process is already cured) while
     // keeping genuinely-curing ones.

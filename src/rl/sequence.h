@@ -10,6 +10,7 @@
 #ifndef AER_RL_SEQUENCE_H_
 #define AER_RL_SEQUENCE_H_
 
+#include <map>
 #include <span>
 #include <vector>
 
@@ -62,16 +63,25 @@ SequenceEvaluation EvaluateSequence(
     Terminalization terminalization = Terminalization::kEscalate,
     const CapabilityModel& capabilities = CapabilityModel::TotalOrder());
 
+// Exact prices (EvaluateSequence with kEscalate) of sequences already
+// scored by CheapestPrefix. A price depends only on the sequence and on the
+// (processes, type, estimator, max_actions, capabilities) it was priced
+// against, never on Q values, so one memo serves every scan of that context;
+// a memo must never be shared between contexts.
+using PrefixPriceMemo = std::map<ActionSequence, SequenceEvaluation>;
+
 // The cheapest of `candidates` and all their prefixes by exact evaluation
 // (EvaluateSequence with kEscalate). Scoring prefixes drops tails that only
 // ever execute for a handful of incidents yet drag a whole sequence down.
 // Within a 1e-9 near-tie the sequence that cures more processes by itself
-// wins, then the shorter one. Empty if `candidates` is.
+// wins, then the shorter one, then the lexicographically first. Empty if
+// `candidates` is. Prices missing from `memo` are computed, all prefixes of
+// a candidate in one replay walk per process, and added to it.
 ActionSequence CheapestPrefix(
     std::span<const ActionSequence> candidates,
     std::span<const RecoveryProcess* const> processes, ErrorTypeId type,
     const CostEstimator& estimator, int max_actions,
-    const CapabilityModel& capabilities);
+    const CapabilityModel& capabilities, PrefixPriceMemo& memo);
 
 struct ExactSearchConfig {
   // Longest sequence considered (before terminalization). The optimum is

@@ -26,6 +26,18 @@ void ProcessReplay::Reset() {
   total_cost_ = static_cast<double>(process_.detection_delay());
 }
 
+ProcessReplay::Mark ProcessReplay::Save() const {
+  return {executed_.size(), consumed_, cured_, total_cost_};
+}
+
+void ProcessReplay::Rewind(const Mark& mark) {
+  AER_CHECK_LE(mark.steps, executed_.size());
+  executed_.resize(mark.steps);
+  consumed_ = mark.consumed;
+  cured_ = mark.cured;
+  total_cost_ = mark.total_cost;
+}
+
 ProcessReplay::StepResult ProcessReplay::Step(RepairAction action) {
   AER_CHECK(!cured_) << "Step(" << ActionName(action)
                      << ") after the process was already cured";

@@ -55,6 +55,18 @@ class ProcessReplay {
   // Restarts the replay of the same process.
   void Reset();
 
+  // The replay's progress so far. Rewind(mark) undoes every step taken
+  // after Save() returned `mark`, so a caller can try out a continuation
+  // and come back without copying the replay.
+  struct Mark {
+    std::size_t steps = 0;
+    std::array<std::size_t, kNumActions> consumed = {};
+    bool cured = false;
+    double total_cost = 0.0;
+  };
+  Mark Save() const;
+  void Rewind(const Mark& mark);
+
  private:
   const RecoveryProcess& process_;
   ErrorTypeId type_;

@@ -1,8 +1,21 @@
 #include "rl/sequence.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstddef>
+#include <cstdint>
+#include <limits>
+#include <set>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "cluster/fault_catalog.h"
+#include "common/rng.h"
+#include "rl/selection_tree.h"
 
 namespace aer {
 namespace {
@@ -191,6 +204,276 @@ TEST(ExactBestSequenceTest, RespectsObservedActionRestriction) {
       ExactBestSequence(fx.processes, fx.type, fx.estimator, 20);
   for (RepairAction a : best) {
     EXPECT_TRUE(a == Y || a == B);
+  }
+}
+
+// --- CheapestPrefix: the prefix walk and the price memo ---------------------
+
+// A randomized log for one fault of the default catalog: each process
+// escalates from a random starting level, repeats a failed action at random,
+// and is cured by each attempt with the fault's cure probability (manual
+// repair always cures), with durations jittered around the fault's means.
+std::vector<RecoveryProcess> RandomProcesses(const FaultType& fault,
+                                             SymptomId symptom, int count,
+                                             Rng& rng, MachineId& machine,
+                                             SimTime& start) {
+  std::vector<RecoveryProcess> out;
+  for (int i = 0; i < count; ++i) {
+    std::vector<SymptomEvent> symptoms = {{start, symptom}};
+    std::vector<ActionAttempt> attempts;
+    SimTime t = start + 30 + static_cast<SimTime>(rng.NextBounded(60));
+    int level = static_cast<int>(rng.NextBounded(2));
+    bool cured = false;
+    while (!cured) {
+      const RepairAction a = attempts.size() >= 6
+                                 ? RepairAction::kRma
+                                 : ActionFromIndex(level);
+      const ActionResponse& r =
+          fault.responses[static_cast<std::size_t>(ActionIndex(a))];
+      cured = a == RepairAction::kRma || rng.NextBool(r.cure_probability);
+      const auto cost = static_cast<SimTime>(
+          r.mean_duration_s * (0.5 + rng.NextDouble()));
+      attempts.push_back({a, t, cost, cured});
+      t += cost;
+      if (!rng.NextBool(0.4)) level = std::min(level + 1, kNumActions - 1);
+    }
+    out.emplace_back(machine++, std::move(symptoms), std::move(attempts), t);
+    start += 10;
+  }
+  return out;
+}
+
+Fixture RandomFixture(std::uint64_t seed, int count) {
+  const FaultCatalog catalog = MakeDefaultCatalog();
+  Rng rng(seed);
+  const FaultType& fault =
+      catalog.faults[rng.NextBounded(catalog.faults.size())];
+  MachineId machine = 0;
+  SimTime start = 0;
+  return Fixture(RandomProcesses(fault, 0, count, rng, machine, start));
+}
+
+// Random candidates, most branching off an earlier one so that the walk
+// also starts from partly priced candidates; some put manual repair in the
+// middle, and many run past the cap.
+std::vector<ActionSequence> RandomCandidates(Rng& rng, int count,
+                                             std::size_t max_length) {
+  std::vector<ActionSequence> out;
+  for (int i = 0; i < count; ++i) {
+    ActionSequence seq;
+    if (!out.empty() && rng.NextBool(0.7)) {
+      const ActionSequence& base = out[rng.NextBounded(out.size())];
+      seq.assign(base.begin(),
+                 base.begin() + static_cast<std::ptrdiff_t>(
+                                    rng.NextBounded(base.size() + 1)));
+    }
+    const std::size_t length = 1 + rng.NextBounded(max_length);
+    while (seq.size() < length) {
+      seq.push_back(ActionFromIndex(
+          static_cast<int>(rng.NextBounded(kNumActions))));
+    }
+    out.push_back(std::move(seq));
+  }
+  return out;
+}
+
+void ExpectBitIdentical(const SequenceEvaluation& got,
+                        const SequenceEvaluation& want) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.total_cost),
+            std::bit_cast<std::uint64_t>(want.total_cost));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.mean_cost),
+            std::bit_cast<std::uint64_t>(want.mean_cost));
+  EXPECT_EQ(got.processes, want.processes);
+  EXPECT_EQ(got.cured_by_sequence, want.cured_by_sequence);
+  EXPECT_EQ(got.terminalized, want.terminalized);
+}
+
+// The walk prices each prefix of a candidate in one replay pass per process;
+// every price it stores must be the bits EvaluateSequence computes for that
+// prefix on its own.
+TEST(CheapestPrefixTest, WalkPricesEveryPrefixExactlyAsEvaluateSequence) {
+  int rma_inside = 0;
+  int past_cap = 0;
+  int cured_mid_prefix = 0;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    const Fixture fx = RandomFixture(seed, 40);
+    for (const CapabilityModel* model :
+         {&CapabilityModel::TotalOrder(), &CapabilityModel::IdentityOnly()}) {
+      for (const int cap : {2, 3, 5, 20}) {
+        Rng rng(seed * 100 + static_cast<std::uint64_t>(cap));
+        const std::vector<ActionSequence> candidates =
+            RandomCandidates(rng, 24, static_cast<std::size_t>(cap) + 4);
+        PrefixPriceMemo memo;
+        CheapestPrefix(candidates, fx.processes, fx.type, fx.estimator, cap,
+                       *model, memo);
+        for (const ActionSequence& candidate : candidates) {
+          past_cap += static_cast<int>(candidate.size()) >= cap ? 1 : 0;
+          for (std::size_t k = 1; k <= candidate.size(); ++k) {
+            const ActionSequence prefix(candidate.begin(),
+                                        candidate.begin() + k);
+            rma_inside += k < candidate.size() &&
+                                  prefix.back() == RepairAction::kRma
+                              ? 1
+                              : 0;
+            const SequenceEvaluation want =
+                EvaluateSequence(prefix, fx.processes, fx.type, fx.estimator,
+                                 cap, Terminalization::kEscalate, *model);
+            cured_mid_prefix += want.cured_by_sequence > 0 &&
+                                        want.terminalized > 0
+                                    ? 1
+                                    : 0;
+            const auto it = memo.find(prefix);
+            ASSERT_NE(it, memo.end());
+            ExpectBitIdentical(it->second, want);
+          }
+        }
+      }
+    }
+  }
+  // The random inputs reach every case the walk distinguishes.
+  EXPECT_GT(rma_inside, 0);
+  EXPECT_GT(past_cap, 0);
+  EXPECT_GT(cured_mid_prefix, 0);
+}
+
+// The reference scan: every candidate prefix priced from scratch by
+// EvaluateSequence, visited in lexicographic order, strict tie-break.
+ActionSequence ReferenceCheapestPrefix(
+    std::span<const ActionSequence> candidates,
+    std::span<const RecoveryProcess* const> processes, ErrorTypeId type,
+    const CostEstimator& estimator, int max_actions,
+    const CapabilityModel& capabilities) {
+  std::set<ActionSequence> scored;
+  for (const ActionSequence& candidate : candidates) {
+    for (std::size_t k = 1; k <= candidate.size(); ++k) {
+      scored.emplace(candidate.begin(), candidate.begin() + k);
+    }
+  }
+  ActionSequence best;
+  double best_cost = std::numeric_limits<double>::infinity();
+  std::int64_t best_cured = -1;
+  for (const ActionSequence& seq : scored) {
+    const SequenceEvaluation eval =
+        EvaluateSequence(seq, processes, type, estimator, max_actions,
+                         Terminalization::kEscalate, capabilities);
+    if (eval.mean_cost < best_cost - 1e-9 ||
+        (eval.mean_cost < best_cost + 1e-9 &&
+         (eval.cured_by_sequence > best_cured ||
+          (eval.cured_by_sequence == best_cured &&
+           seq.size() < best.size())))) {
+      best_cost = eval.mean_cost;
+      best_cured = eval.cured_by_sequence;
+      best = seq;
+    }
+  }
+  return best;
+}
+
+// A memo carried across a training run's checks must not change any check's
+// answer. The candidate sets are those the selection tree scans at each
+// check of a real run: the tree's enumeration over the Q table after every
+// check_every sweeps (the sweeps do not depend on the read-out, so the plain
+// trainer capped at that sweep count reproduces the table), plus the
+// escalation seeds.
+TEST(CheapestPrefixTest, WarmMemoAnswersEveryCheckLikeAColdOne) {
+  const FaultCatalog faults = MakeDefaultCatalog();
+  Rng rng(2024);
+  std::vector<RecoveryProcess> processes;
+  SymptomTable symptoms;
+  MachineId machine = 0;
+  SimTime start = 0;
+  for (SymptomId s = 0; s < 4; ++s) {
+    symptoms.Intern("fault" + std::to_string(s));
+    const FaultType& fault = faults.faults[static_cast<std::size_t>(s) * 5];
+    for (RecoveryProcess& p :
+         RandomProcesses(fault, s, 60, rng, machine, start)) {
+      processes.push_back(std::move(p));
+    }
+  }
+  const ErrorTypeCatalog catalog(processes, 40);
+  const SimulationPlatform platform(processes, catalog, symptoms, 20);
+  TrainerConfig config;
+  config.check_every = 100;
+  config.min_sweeps = 1000000;  // no convergence break: every check runs
+  const SelectionTreeConfig tree;
+
+  int checks = 0;
+  int misses = 0;
+  for (ErrorTypeId type = 0;
+       static_cast<std::size_t>(type) < catalog.num_types(); ++type) {
+    PrefixPriceMemo warm;
+    for (int check = 1; check <= 12; ++check) {
+      config.max_sweeps = check * config.check_every;
+      const QLearningTrainer trainer(platform, processes, config);
+      QTable table;
+      trainer.TrainType(type, &table);
+      std::vector<ActionSequence> candidates =
+          BuildCandidateSequences(table, type, config.max_actions, tree);
+      const std::vector<RepairAction> allowed =
+          platform.estimator().ObservedActions(type);
+      for (std::size_t first = 0; first < allowed.size(); ++first) {
+        ActionSequence seed;
+        for (std::size_t i = first; i < allowed.size(); ++i) {
+          seed.push_back(allowed[i]);
+          if (allowed[i] != RepairAction::kRma) seed.push_back(allowed[i]);
+        }
+        candidates.push_back(std::move(seed));
+      }
+
+      const std::span<const RecoveryProcess* const> of_type =
+          trainer.processes_of(type);
+      const std::size_t warm_size = warm.size();
+      PrefixPriceMemo cold;
+      const ActionSequence from_warm =
+          CheapestPrefix(candidates, of_type, type, platform.estimator(),
+                         config.max_actions, platform.capabilities(), warm);
+      const ActionSequence from_cold =
+          CheapestPrefix(candidates, of_type, type, platform.estimator(),
+                         config.max_actions, platform.capabilities(), cold);
+      EXPECT_EQ(from_warm, from_cold) << "type " << type << " check " << check;
+      EXPECT_EQ(from_cold,
+                ReferenceCheapestPrefix(candidates, of_type, type,
+                                        platform.estimator(),
+                                        config.max_actions,
+                                        platform.capabilities()))
+          << "type " << type << " check " << check;
+      ++checks;
+      misses += warm.size() > warm_size ? 1 : 0;
+    }
+  }
+  EXPECT_GE(checks, 4 * 12);
+  // Later checks must actually hit the warm memo, or the test shows nothing.
+  EXPECT_LT(misses, checks);
+}
+
+// Equal cost, equal self-contained cures and equal length: the
+// lexicographically first sequence wins, whatever order the candidates come
+// in. The logged processes need REBOOT and TRYNOP both (TRYNOP cured last),
+// so [TRYNOP, REBOOT] and [REBOOT, TRYNOP] cure every process for the same
+// two logged step costs, and every shorter prefix costs more or cures less.
+TEST(CheapestPrefixTest, ExactTieGoesToTheLexicographicallyFirstSequence) {
+  std::vector<RecoveryProcess> processes;
+  for (int i = 0; i < 5; ++i) {
+    processes.push_back(MakeProcess({{B, 1000}, {Y, 1000}}));
+  }
+  const Fixture fx(std::move(processes));
+  const ActionSequence yb = {Y, B};
+  const ActionSequence by = {B, Y};
+  const auto eval = [&](const ActionSequence& seq) {
+    return EvaluateSequence(seq, fx.processes, fx.type, fx.estimator, 20);
+  };
+  // The fixture really is a tie.
+  ASSERT_EQ(eval(yb).total_cost, eval(by).total_cost);
+  ASSERT_EQ(eval(yb).cured_by_sequence, 5);
+  ASSERT_EQ(eval(by).cured_by_sequence, 5);
+
+  for (const std::vector<ActionSequence>& candidates :
+       {std::vector<ActionSequence>{by, yb},
+        std::vector<ActionSequence>{yb, by}}) {
+    PrefixPriceMemo memo;
+    EXPECT_EQ(CheapestPrefix(candidates, fx.processes, fx.type, fx.estimator,
+                             20, CapabilityModel::TotalOrder(), memo),
+              yb);
   }
 }
 

@@ -106,6 +106,31 @@ TEST(ProcessReplayTest, ResetRestartsCleanly) {
   EXPECT_TRUE(replay.Step(RepairAction::kReboot).cured);
 }
 
+// Rewind undoes the steps after Save: the cure, the cost, the executed list
+// and the consumption of logged occurrences (the second REBOOT is priced
+// from the log again, not from the average).
+TEST(ProcessReplayTest, RewindUndoesEveryStepAfterSave) {
+  Fixture fx({MakeProcess({{RepairAction::kTryNop, 40, 100, false},
+                           {RepairAction::kReboot, 140, 200, false},
+                           {RepairAction::kReboot, 340, 300, true}})});
+  const RecoveryProcess& p = fx.processes[0];
+  ProcessReplay replay(p, fx.catalog.Classify(p), fx.estimator);
+  replay.Step(RepairAction::kTryNop);
+  const ProcessReplay::Mark mark = replay.Save();
+  replay.Step(RepairAction::kReboot);
+  replay.Step(RepairAction::kReboot);
+  ASSERT_TRUE(replay.cured());
+  replay.Rewind(mark);
+  EXPECT_FALSE(replay.cured());
+  EXPECT_EQ(replay.steps(), 1);
+  EXPECT_DOUBLE_EQ(replay.total_cost(), 40.0 + 100.0);
+  EXPECT_DOUBLE_EQ(replay.Step(RepairAction::kReboot).cost, 200.0);
+  const ProcessReplay::StepResult last = replay.Step(RepairAction::kReboot);
+  EXPECT_TRUE(last.cured);
+  EXPECT_DOUBLE_EQ(last.cost, 300.0);
+  EXPECT_DOUBLE_EQ(replay.total_cost(), static_cast<double>(p.downtime()));
+}
+
 TEST(ProcessReplayTest, TotalCostIncludesDetectionDelay) {
   Fixture fx({MakeProcess({{RepairAction::kReboot, 40, 100, true}},
                           /*detection_delay=*/70)});
