@@ -117,7 +117,7 @@ void Run(bool smoke) {
     config.num_shards = 64;  // pinned: keeps aer_fleet_shards reproducible
 
     fleet::FleetSimulator sim(config, catalog);
-    sim.SetMetrics(&registry);
+    sim.SetObservers({.metrics = &registry});
     const std::int64_t events_before =
         registry.GetCounter("aer_fleet_events_total").value();
 

@@ -35,6 +35,7 @@
 #include "obs/chrome_trace.h"
 #include "obs/critical_path.h"
 #include "obs/metrics.h"
+#include "obs/observers.h"
 #include "obs/timeseries.h"
 #include "obs/trace_collector.h"
 #include "obs/trace_dag.h"
@@ -304,9 +305,7 @@ int Diff(const Flags& flags) {
 // Fully deterministic for a given (seed, incidents, clean) triple — the
 // registry snapshot and the trace dump are byte-identical across runs
 // (docs/OBSERVABILITY.md), which is what makes the output diffable.
-void RunObservedPipeline(const Flags& flags, obs::Tracer& tracer,
-                         obs::MetricsRegistry& metrics,
-                         obs::TimeSeriesRecorder* recorder = nullptr) {
+void RunObservedPipeline(const Flags& flags, const obs::Observers& observers) {
   const int count = static_cast<int>(flags.GetInt("incidents", 40));
   std::vector<HarnessIncident> incidents;
   const char* symptoms[] = {"Watchdog", "DiskError", "EventLog", "NicDown"};
@@ -322,7 +321,7 @@ void RunObservedPipeline(const Flags& flags, obs::Tracer& tracer,
   UserDefinedPolicy primary;
   UserDefinedPolicy fallback;
   GuardedPolicy guard(primary, fallback);
-  guard.SetObservers(&tracer, &metrics);
+  guard.SetObservers(observers);
 
   RecoveryManagerConfig manager_config;
   manager_config.action_timeout = 10 * kHour;
@@ -340,8 +339,7 @@ void RunObservedPipeline(const Flags& flags, obs::Tracer& tracer,
   }
 
   InjectionHarness harness(guard, manager_config, harness_config);
-  harness.SetObservers(&tracer, &metrics);
-  harness.SetTimeSeries(recorder);
+  harness.SetObservers(observers);
   harness.Run(incidents);
 }
 
@@ -355,7 +353,8 @@ int Timeseries(const Flags& flags) {
   config.window_width = flags.GetInt("window", kHour);
   config.capacity = static_cast<std::size_t>(flags.GetInt("capacity", 256));
   obs::TimeSeriesRecorder recorder(metrics, config);
-  RunObservedPipeline(flags, tracer, metrics, &recorder);
+  RunObservedPipeline(
+      flags, {.metrics = &metrics, .tracer = &tracer, .timeseries = &recorder});
   if (flags.Has("json")) {
     std::printf("%s\n", recorder.ExportJson().ToString().c_str());
   } else {
@@ -377,7 +376,7 @@ int Profile(const Flags& flags) {
   obs::Tracer tracer;
   obs::MetricsRegistry metrics;
   ProfileRegistry::Global().Reset();
-  RunObservedPipeline(flags, tracer, metrics);
+  RunObservedPipeline(flags, {.metrics = &metrics, .tracer = &tracer});
   const std::vector<ProfileEntry> entries =
       ProfileRegistry::Global().Snapshot();
   const ProfileRegistry::FormatOptions options{.include_wall =
@@ -398,7 +397,7 @@ int Profile(const Flags& flags) {
 int Metrics(const Flags& flags) {
   obs::Tracer tracer;
   obs::MetricsRegistry metrics;
-  RunObservedPipeline(flags, tracer, metrics);
+  RunObservedPipeline(flags, {.metrics = &metrics, .tracer = &tracer});
   obs::MetricsRegistry::ExportOptions options;
   options.include_volatile = false;
   if (flags.Has("json")) {
@@ -439,7 +438,7 @@ void RunTracedControlPipeline(const Flags& flags,
 
   UserDefinedPolicy policy;
   ctrl::ControlPlaneHarness harness(policy, manager_config, config, script);
-  harness.SetTraceCollector(&traces);
+  harness.SetObservers({.traces = &traces});
   harness.Run({
       {50, 7, "NoHeartbeat", 3},
       {150, 2, "Watchdog", 1},
@@ -470,7 +469,7 @@ int Trace(const Flags& flags) {
   }
   obs::Tracer tracer;
   obs::MetricsRegistry metrics;
-  RunObservedPipeline(flags, tracer, metrics);
+  RunObservedPipeline(flags, {.metrics = &metrics, .tracer = &tracer});
   std::vector<obs::Span> spans = tracer.Snapshot();
   if (flags.Has("type")) {
     spans = obs::Tracer::FilterByLabel(spans, flags.Get("type", ""));

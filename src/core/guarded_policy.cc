@@ -18,10 +18,10 @@ GuardedPolicy::GuardedPolicy(RecoveryPolicy& primary,
   baseline_mean_ = config_.baseline_mean_downtime;
 }
 
-void GuardedPolicy::SetObservers(obs::Tracer* tracer,
-                                 obs::MetricsRegistry* metrics) {
+void GuardedPolicy::SetObservers(const obs::Observers& observers) {
+  obs::MetricsRegistry* metrics = observers.metrics;
   MutexLock lock(mu_);
-  tracer_ = tracer;
+  tracer_ = observers.tracer;
   if (metrics == nullptr) {
     obs_ = ObsMetrics{};
     return;

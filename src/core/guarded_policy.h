@@ -43,6 +43,7 @@
 #include "common/mutex.h"
 #include "common/thread_annotations.h"
 #include "obs/metrics.h"
+#include "obs/observers.h"
 #include "obs/tracer.h"
 
 namespace aer {
@@ -67,11 +68,11 @@ class GuardedPolicy final : public RecoveryPolicy {
   GuardedPolicy(RecoveryPolicy& primary, RecoveryPolicy& fallback,
                 GuardedPolicyConfig config = {});
 
-  // Attaches observability sinks (either may be null; both must outlive the
-  // guard). Mirrors the Stats counters into aer_guard_* metrics, keeps the
-  // aer_guard_breaker_open gauge current, and emits instant spans for
-  // fault absorption and breaker trip / half-open transitions.
-  void SetObservers(obs::Tracer* tracer, obs::MetricsRegistry* metrics);
+  // Attaches the metrics and tracer sinks. Mirrors the Stats counters into
+  // aer_guard_* metrics, keeps the aer_guard_breaker_open gauge current,
+  // and emits instant spans for fault absorption and breaker trip /
+  // half-open transitions.
+  void SetObservers(const obs::Observers& observers);
 
   RepairAction ChooseAction(const RecoveryContext& context) override;
 

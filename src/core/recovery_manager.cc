@@ -21,9 +21,10 @@ RecoveryManager::RecoveryManager(RecoveryPolicy& policy,
   AER_CHECK_GT(config_.history_retention, 0);
 }
 
-void RecoveryManager::SetObservers(obs::Tracer* tracer,
-                                   obs::MetricsRegistry* metrics) {
-  tracer_ = tracer;
+void RecoveryManager::SetObservers(const obs::Observers& observers) {
+  tracer_ = observers.tracer;
+  traces_ = observers.traces;
+  obs::MetricsRegistry* metrics = observers.metrics;
   if (metrics == nullptr) {
     obs_ = ObsMetrics{};
     return;
@@ -145,12 +146,8 @@ void RecoveryManager::OnSymptom(SimTime time, MachineId machine,
 
   if (obs_.processes) obs_.processes->Inc();
   if (tracer_) {
-    process.span = tracer_->StartSpan("recovery", time);
-    tracer_->SetLabel(process.span, symptom);
-    tracer_->SetMachine(process.span, machine);
-    if (process.trace != obs::kNoTrace) {
-      tracer_->SetTraceId(process.span, process.trace);
-    }
+    process.span = tracer_->StartSpan("recovery", time, symptom, obs::kNoSpan,
+                                      machine, process.trace);
     if (process.quarantined) {
       tracer_->AddEvent(process.span, time, "flap_quarantine");
     }
@@ -215,11 +212,7 @@ std::optional<RepairAction> RecoveryManager::OnRecoveryNeeded(
   if (tracer_) {
     process.action_span = tracer_->StartSpan(
         StrFormat("action:%s", std::string(ActionName(action)).c_str()), now,
-        process.span);
-    tracer_->SetMachine(process.action_span, machine);
-    if (process.trace != obs::kNoTrace) {
-      tracer_->SetTraceId(process.action_span, process.trace);
-    }
+        /*label=*/{}, process.span, machine, process.trace);
   }
   return action;
 }
@@ -405,12 +398,9 @@ bool RecoveryManager::AdoptProcess(SimTime now,
   ++stats_.processes_adopted;
   if (obs_.adopted) obs_.adopted->Inc();
   if (tracer_) {
-    process.span = tracer_->StartSpan("recovery", snapshot.start);
-    tracer_->SetLabel(process.span, snapshot.symptom);
-    tracer_->SetMachine(process.span, snapshot.machine);
-    if (process.trace != obs::kNoTrace) {
-      tracer_->SetTraceId(process.span, process.trace);
-    }
+    process.span =
+        tracer_->StartSpan("recovery", snapshot.start, snapshot.symptom,
+                           obs::kNoSpan, snapshot.machine, process.trace);
     tracer_->AddEvent(process.span, now, "adopted");
   }
   open_.emplace(snapshot.machine, std::move(process));

@@ -34,6 +34,7 @@
 #include "cluster/policy.h"
 #include "log/recovery_log.h"
 #include "obs/metrics.h"
+#include "obs/observers.h"
 #include "obs/trace_collector.h"
 #include "obs/trace_context.h"
 #include "obs/tracer.h"
@@ -90,18 +91,26 @@ class RecoveryManager {
   // `policy` must outlive the manager.
   RecoveryManager(RecoveryPolicy& policy, RecoveryManagerConfig config = {});
 
-  // Attaches observability sinks (either may be null; both must outlive the
-  // manager). With a tracer set, each recovery process gets a "recovery"
-  // span labeled with its initiating symptom, each action attempt a child
-  // "action:<name>" span, and timeout/backoff/quarantine/N-cap transitions
-  // become span events. With a registry set, the Stats counters are mirrored
-  // into the aer_recovery_* metrics (docs/OBSERVABILITY.md).
-  void SetObservers(obs::Tracer* tracer, obs::MetricsRegistry* metrics);
+  // Attaches the metrics, tracer and trace-collector sinks (docs/
+  // OBSERVABILITY.md "Attaching observers"). With a tracer, each recovery
+  // process gets a "recovery" span labeled with its initiating symptom,
+  // each action attempt a child "action:<name>" span, and timeout/backoff/
+  // quarantine/N-cap transitions become span events. With a registry, the
+  // Stats counters are mirrored into the aer_recovery_* metrics. With a
+  // collector, action timeouts emit trace records.
+  void SetObservers(const obs::Observers& observers);
 
-  // Attaches the causal trace sink (may be null; must outlive the manager).
-  // With a collector set, action timeouts emit trace records and adopted /
-  // opened processes keep their distributed trace id.
-  void SetTraceCollector(obs::TraceCollector* traces) { traces_ = traces; }
+  // Adapters kept for perfbench/src/serve.cc, their only caller, which
+  // changes only together with the benchmark; each replaces just the sinks
+  // it names. Delete both once serve.cc calls SetObservers(Observers).
+  void SetObservers(  // aer-lint: allow(one-attach-point)
+      obs::Tracer* tracer, obs::MetricsRegistry* metrics) {
+    SetObservers({.metrics = metrics, .tracer = tracer, .traces = traces_});
+  }
+  void SetTraceCollector(  // aer-lint: allow(one-attach-point)
+      obs::TraceCollector* traces) {
+    traces_ = traces;
+  }
 
   // Event monitoring: a symptom was observed on a machine. Opens a recovery
   // process if none is active; records the symptom either way. Tolerates

@@ -79,25 +79,17 @@ ControlPlaneHarness::ControlPlaneHarness(RecoveryPolicy& policy,
   }
 }
 
-void ControlPlaneHarness::SetObservers(obs::Tracer* tracer,
-                                       obs::MetricsRegistry* metrics) {
-  tracer_ = tracer;
-  metrics_ = metrics;
-  net_.SetObservers(tracer, metrics);
+void ControlPlaneHarness::SetObservers(const obs::Observers& observers) {
+  observers_ = observers;
+  net_.SetObservers(observers);
   for (auto& coordinator : coordinators_) {
-    if (coordinator) coordinator->SetObservers(tracer, metrics);
+    if (coordinator) coordinator->SetObservers(observers);
   }
   stale_rejected_metric_ =
-      metrics == nullptr
+      observers.metrics == nullptr
           ? nullptr
-          : &metrics->GetCounter("aer_ctrl_stale_actions_rejected_total");
-}
-
-void ControlPlaneHarness::SetTraceCollector(obs::TraceCollector* traces) {
-  traces_ = traces;
-  for (auto& coordinator : coordinators_) {
-    if (coordinator) coordinator->SetTraceCollector(traces);
-  }
+          : &observers.metrics->GetCounter(
+                "aer_ctrl_stale_actions_rejected_total");
 }
 
 void ControlPlaneHarness::ApplyTransitions(SimTime now) {
@@ -113,12 +105,12 @@ void ControlPlaneHarness::ApplyTransitions(SimTime now) {
         retired_gated_ += coordinator->service().actions_gated();
         coordinator.reset();
       }
-      if (traces_) {
+      if (observers_.traces) {
         obs::TraceRecord record;
         record.time = transition.at;
         record.kind = obs::TraceEventKind::kNodeCrash;
         record.node = transition.node;
-        traces_->Record(std::move(record));
+        observers_.traces->Record(std::move(record));
       }
     } else if (transition.kind == NetTransition::Kind::kRestart) {
       auto& coordinator =
@@ -127,14 +119,13 @@ void ControlPlaneHarness::ApplyTransitions(SimTime now) {
           transition.node, config_.cluster_size, config_.coordinator,
           policy_, manager_config_,
           durable_[static_cast<std::size_t>(transition.node)]);
-      coordinator->SetObservers(tracer_, metrics_);
-      coordinator->SetTraceCollector(traces_);
-      if (traces_) {
+      coordinator->SetObservers(observers_);
+      if (observers_.traces) {
         obs::TraceRecord record;
         record.time = transition.at;
         record.kind = obs::TraceEventKind::kNodeRestart;
         record.node = transition.node;
-        traces_->Record(std::move(record));
+        observers_.traces->Record(std::move(record));
       }
     }
     // Partition start/heal is routing state the perturber already applied.
@@ -240,7 +231,7 @@ ControlHarnessResult ControlPlaneHarness::Run(
       record.machine = dispatch.machine;
       record.action = ActionIndex(dispatch.action);
       result.dispatch_log.push_back(record);
-      if (traces_) {
+      if (observers_.traces) {
         obs::TraceRecord trace;
         trace.trace_id = dispatch.trace;
         trace.time = now;
@@ -250,7 +241,7 @@ ControlHarnessResult ControlPlaneHarness::Run(
         trace.attempt = dispatch.attempt;
         trace.action = ActionIndex(dispatch.action);
         trace.epoch = dispatch.epoch;
-        traces_->Record(std::move(trace));
+        observers_.traces->Record(std::move(trace));
       }
       const NetPerturber::Routing routing = net_.RouteMachineHop(
           now, config_.net_latency + extra_delay);
@@ -263,7 +254,7 @@ ControlHarnessResult ControlPlaneHarness::Run(
       } else {
         // Lost on the machine network: the issuer's timeout machinery (or
         // the re-emit chain) retries. The trace keeps the orphan edge.
-        if (traces_) {
+        if (observers_.traces) {
           obs::TraceRecord trace;
           trace.trace_id = dispatch.trace;
           trace.time = now;
@@ -274,7 +265,7 @@ ControlHarnessResult ControlPlaneHarness::Run(
           trace.action = ActionIndex(dispatch.action);
           trace.epoch = dispatch.epoch;
           trace.detail = "dropped";
-          traces_->Record(std::move(trace));
+          observers_.traces->Record(std::move(trace));
         }
       }
       if (routing.duplicated) {
@@ -351,7 +342,7 @@ ControlHarnessResult ControlPlaneHarness::Run(
           machine.trace = obs::MakeTraceId(config_.net.seed, event.machine,
                                            machine.episodes);
         }
-        if (traces_) {
+        if (observers_.traces) {
           obs::TraceRecord trace;
           trace.trace_id = machine.trace;
           trace.time = event.time;
@@ -359,11 +350,7 @@ ControlHarnessResult ControlPlaneHarness::Run(
           trace.machine = event.machine;
           trace.duplicate = !fresh;
           trace.detail = event.symptom;
-          traces_->Record(std::move(trace));
-        }
-        if (tracer_) {
-          tracer_->Instant("inject:incident", event.time, event.symptom,
-                           obs::kNoSpan, event.machine);
+          observers_.traces->Record(std::move(trace));
         }
         Event reemit;
         reemit.kind = Event::Kind::kReemit;
@@ -410,7 +397,7 @@ ControlHarnessResult ControlPlaneHarness::Run(
         // Only the leaseholder's admission is a trace event: followers
         // receive the same broadcast but gate it, and recording theirs
         // would make the trace stream depend on the cluster size.
-        if (traces_ && coordinators_[node]->IsLeader(event.time)) {
+        if (observers_.traces && coordinators_[node]->IsLeader(event.time)) {
           obs::TraceRecord trace;
           trace.trace_id = machine.trace;
           trace.time = event.time;
@@ -418,7 +405,7 @@ ControlHarnessResult ControlPlaneHarness::Run(
           trace.machine = event.machine;
           trace.node = event.node;
           trace.detail = machine.symptom;
-          traces_->Record(std::move(trace));
+          observers_.traces->Record(std::move(trace));
         }
         process_output(event.time,
                        coordinators_[node]->OnSymptom(
@@ -461,7 +448,7 @@ ControlHarnessResult ControlPlaneHarness::Run(
         const auto trace_hop = [this, &event, &dispatch](
                                    obs::TraceEventKind kind,
                                    std::string detail) {
-          if (!traces_) return;
+          if (!observers_.traces) return;
           obs::TraceRecord trace;
           trace.trace_id = dispatch.trace;
           trace.time = event.time;
@@ -473,17 +460,13 @@ ControlHarnessResult ControlPlaneHarness::Run(
           trace.epoch = dispatch.epoch;
           trace.duplicate = event.duplicate;
           trace.detail = std::move(detail);
-          traces_->Record(std::move(trace));
+          observers_.traces->Record(std::move(trace));
         };
         if (!fence_.Admit(dispatch.machine, dispatch.epoch)) {
           auditor_.OnStaleRejected(event.time, dispatch.machine,
                                    dispatch.epoch);
           ++result.stale_rejected;
           if (stale_rejected_metric_) stale_rejected_metric_->Inc();
-          if (tracer_) {
-            tracer_->Instant("fence:reject", event.time, "", obs::kNoSpan,
-                             dispatch.machine);
-          }
           trace_hop(obs::TraceEventKind::kFenceReject, "stale_epoch");
           break;
         }
@@ -523,7 +506,7 @@ ControlHarnessResult ControlPlaneHarness::Run(
         const auto trace_hop = [this, &event, &dispatch](
                                    obs::TraceEventKind kind,
                                    std::string detail) {
-          if (!traces_) return;
+          if (!observers_.traces) return;
           obs::TraceRecord trace;
           trace.trace_id = dispatch.trace;
           trace.time = event.time;
@@ -535,7 +518,7 @@ ControlHarnessResult ControlPlaneHarness::Run(
           trace.epoch = dispatch.epoch;
           trace.duplicate = event.duplicate;
           trace.detail = std::move(detail);
-          traces_->Record(std::move(trace));
+          observers_.traces->Record(std::move(trace));
         };
         trace_hop(obs::TraceEventKind::kActionDone, cured ? "cured" : "sick");
         if (cured && machine.sick) {
@@ -577,7 +560,7 @@ ControlHarnessResult ControlPlaneHarness::Run(
         const auto trace_hop = [this, &event, issuer](
                                    obs::TraceEventKind kind,
                                    std::string detail) {
-          if (!traces_) return;
+          if (!observers_.traces) return;
           obs::TraceRecord trace;
           trace.trace_id = event.dispatch.trace;
           trace.time = event.time;
@@ -589,7 +572,7 @@ ControlHarnessResult ControlPlaneHarness::Run(
           trace.epoch = event.dispatch.epoch;
           trace.duplicate = event.duplicate;
           trace.detail = std::move(detail);
-          traces_->Record(std::move(trace));
+          observers_.traces->Record(std::move(trace));
         };
         if (!net_.NodeUp(issuer) || !coordinators_[node]) {
           // The issuer died (or was replaced by a restart): the result is

@@ -40,6 +40,7 @@
 #include "ctrl/fence.h"
 #include "ctrl/message.h"
 #include "inject/net_perturber.h"
+#include "obs/observers.h"
 #include "obs/trace_collector.h"
 #include "obs/trace_context.h"
 
@@ -142,19 +143,16 @@ class ControlPlaneHarness {
                       RecoveryManagerConfig manager_config,
                       ControlHarnessConfig config, NetFaultScript script);
 
-  // Attaches sinks (either may be null; both must outlive the harness) to
-  // the perturber and every coordinator (including ones recreated after a
-  // scripted restart).
-  void SetObservers(obs::Tracer* tracer, obs::MetricsRegistry* metrics);
-
-  // Attaches the causal trace sink (may be null; must outlive the harness).
-  // Each fresh incident mints a deterministic trace id from
-  // (config.net.seed, machine, per-machine episode ordinal); every hop of
-  // the recovery process — symptom admission, dispatch, fencing, execution,
-  // result, timeout, adoption — lands in the collector as one causal DAG
-  // (docs/OBSERVABILITY.md "Distributed tracing"). Null disables tracing
-  // with zero behavioral difference.
-  void SetTraceCollector(obs::TraceCollector* traces);
+  // Attaches the metrics and trace-collector sinks and forwards the same
+  // value to the perturber and every coordinator (including ones recreated
+  // after a scripted restart). With a collector, each fresh incident mints
+  // a deterministic trace id from (config.net.seed, machine, per-machine
+  // episode ordinal); every hop of the recovery process — symptom
+  // admission, dispatch, fencing, execution, result, timeout, adoption —
+  // lands in the collector as one causal DAG (docs/OBSERVABILITY.md
+  // "Distributed tracing"). A null collector disables tracing with zero
+  // behavioral difference.
+  void SetObservers(const obs::Observers& observers);
 
   // Runs all incidents to quiescence (or the event budget). Callable once.
   ControlHarnessResult Run(const std::vector<ControlIncident>& incidents);
@@ -205,10 +203,8 @@ class ControlPlaneHarness {
   Coordinator::Stats retired_stats_;
   std::int64_t retired_gated_ = 0;
 
-  obs::Tracer* tracer_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
+  obs::Observers observers_;
   obs::Counter* stale_rejected_metric_ = nullptr;
-  obs::TraceCollector* traces_ = nullptr;
 };
 
 }  // namespace aer::ctrl

@@ -9,10 +9,10 @@ CoordinatedRecoveryService::CoordinatedRecoveryService(
     const LeaseTable& lease)
     : manager_(policy, manager_config), lease_(lease) {}
 
-void CoordinatedRecoveryService::SetObservers(obs::Tracer* tracer,
-                                              obs::MetricsRegistry* metrics) {
-  tracer_ = tracer;
-  manager_.SetObservers(tracer, metrics);
+void CoordinatedRecoveryService::SetObservers(
+    const obs::Observers& observers) {
+  manager_.SetObservers(observers);
+  obs::MetricsRegistry* metrics = observers.metrics;
   if (metrics == nullptr) {
     obs_ = ObsMetrics{};
     return;

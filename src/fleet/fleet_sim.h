@@ -49,6 +49,7 @@
 #include "common/thread_pool.h"
 #include "fleet/shard_merge.h"
 #include "obs/metrics.h"
+#include "obs/observers.h"
 #include "obs/trace_collector.h"
 
 namespace aer::fleet {
@@ -81,17 +82,17 @@ class FleetSimulator {
   // policy); the policy is invoked in deterministic event order.
   SimulationResult RunSeedCompat(RecoveryPolicy& policy);
 
-  // Optional observability sink: the aer_fleet_* metrics are folded in
-  // after the run, instrumentation never feeds back into the simulation.
-  // The registry must outlive the runs.
-  void SetMetrics(obs::MetricsRegistry* metrics) { metrics_ = metrics; }
-
-  // Optional causal trace sink (must outlive the runs; null disables).
-  // Each recovery process whose deterministic id passes the collector's
-  // head sampling contributes incident/symptom/action/cure records,
-  // buffered per shard and merged after the pool barrier (MergeShards) —
-  // so the collector contents are byte-identical for any thread count.
-  void SetTraceCollector(obs::TraceCollector* traces) { traces_ = traces; }
+  // Attaches the metrics and trace-collector sinks; both must outlive the
+  // runs. The aer_fleet_* metrics are folded in after the run, so
+  // instrumentation never feeds back into the simulation. Each recovery
+  // process whose deterministic id passes the collector's head sampling
+  // contributes incident/symptom/action/cure records, buffered per shard and
+  // merged after the pool barrier (MergeShards) — so the collector contents
+  // are byte-identical for any thread count.
+  void SetObservers(const obs::Observers& observers) {
+    metrics_ = observers.metrics;
+    traces_ = observers.traces;
+  }
 
   const FaultCatalog& catalog() const { return catalog_; }
 

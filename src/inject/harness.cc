@@ -66,14 +66,11 @@ InjectionHarness::InjectionHarness(RecoveryPolicy& policy,
   }
 }
 
-void InjectionHarness::SetTimeSeries(obs::TimeSeriesRecorder* recorder) {
-  timeseries_ = recorder;
-}
-
-void InjectionHarness::SetObservers(obs::Tracer* tracer,
-                                    obs::MetricsRegistry* metrics) {
-  tracer_ = tracer;
-  manager_.SetObservers(tracer, metrics);
+void InjectionHarness::SetObservers(const obs::Observers& observers) {
+  tracer_ = observers.tracer;
+  timeseries_ = observers.timeseries;
+  manager_.SetObservers(observers);
+  obs::MetricsRegistry* metrics = observers.metrics;
   if (metrics == nullptr) {
     obs_ = ObsMetrics{};
     return;

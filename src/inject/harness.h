@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "core/recovery_manager.h"
+#include "obs/observers.h"
 #include "obs/timeseries.h"
 
 namespace aer {
@@ -102,17 +103,14 @@ class InjectionHarness {
                    RecoveryManagerConfig manager_config,
                    HarnessConfig config);
 
-  // Attaches observability sinks (either may be null; both must outlive the
-  // harness) and forwards them to the wrapped RecoveryManager, so traces
-  // show the injected fault (instant "inject:*" spans) alongside the
-  // recovery spans it perturbs. Injection counts mirror into aer_inject_*.
-  void SetObservers(obs::Tracer* tracer, obs::MetricsRegistry* metrics);
-
-  // Attaches a time-series recorder (may be null; must outlive the
-  // harness). Run() advances it to each event's sim time before processing
-  // the event and finishes it at the final event time, so window deltas
-  // line up with sim-time boundaries.
-  void SetTimeSeries(obs::TimeSeriesRecorder* recorder);
+  // Attaches the metrics, tracer and time-series sinks and forwards the
+  // same value to the wrapped RecoveryManager, so traces show the injected
+  // fault (instant "inject:*" spans) alongside the recovery spans it
+  // perturbs. Injection counts mirror into aer_inject_*. Run() advances the
+  // time-series recorder to each event's sim time before processing the
+  // event and finishes it at the final event time, so window deltas line up
+  // with sim-time boundaries.
+  void SetObservers(const obs::Observers& observers);
 
   // Runs all incidents to quiescence (or the event budget). Callable once.
   HarnessResult Run(const std::vector<HarnessIncident>& incidents);

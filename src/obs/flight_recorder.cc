@@ -37,10 +37,7 @@ const char* SignalName(int signo) {
 
 struct Installed {
   FlightRecorderConfig config;
-  const Tracer* tracer = nullptr;
-  const MetricsRegistry* metrics = nullptr;
-  const TimeSeriesRecorder* timeseries = nullptr;
-  const TraceCollector* traces = nullptr;
+  Observers sources;  // read only, by the dump
   struct sigaction previous[kNumFatalSignals] = {};
   // Intrusive retire chain (see g_retired below).
   Installed* retired_next = nullptr;
@@ -68,38 +65,39 @@ std::atomic<bool> g_dumped{false};
 
 bool WriteDump(const Installed& state, std::string_view reason,
                std::string_view detail) {
+  const Observers& sources = state.sources;
   JsonValue root = JsonValue::Object();
   root.Set("reason", JsonValue::String(reason));
   root.Set("detail", JsonValue::String(detail));
 
   JsonValue spans_section = JsonValue::Object();
-  if (state.tracer != nullptr) {
-    std::vector<Span> spans = state.tracer->Snapshot();
+  if (sources.tracer != nullptr) {
+    std::vector<Span> spans = sources.tracer->Snapshot();
     if (spans.size() > state.config.max_spans) {
       spans.erase(spans.begin(),
                   spans.end() - static_cast<std::ptrdiff_t>(
                                     state.config.max_spans));
     }
     spans_section.Set("dropped",
-                      JsonValue::Int(state.tracer->dropped_count()));
+                      JsonValue::Int(sources.tracer->dropped_count()));
     spans_section.Set(
         "open", JsonValue::Int(
-                    static_cast<std::int64_t>(state.tracer->open_count())));
+                    static_cast<std::int64_t>(sources.tracer->open_count())));
     spans_section.Set("spans", Tracer::SpansToJson(spans));
   }
   root.Set("spans", std::move(spans_section));
 
-  if (state.metrics != nullptr) {
-    root.Set("metrics", state.metrics->ExportJson());
+  if (sources.metrics != nullptr) {
+    root.Set("metrics", sources.metrics->ExportJson());
   }
 
   JsonValue ts_section = JsonValue::Object();
-  if (state.timeseries != nullptr) {
+  if (sources.timeseries != nullptr) {
     ts_section.Set("closed",
-                   JsonValue::Int(state.timeseries->windows_closed()));
+                   JsonValue::Int(sources.timeseries->windows_closed()));
     ts_section.Set("dropped",
-                   JsonValue::Int(state.timeseries->windows_dropped()));
-    const std::vector<TimeSeriesWindow> windows = state.timeseries->Windows();
+                   JsonValue::Int(sources.timeseries->windows_dropped()));
+    const std::vector<TimeSeriesWindow> windows = sources.timeseries->Windows();
     if (!windows.empty()) {
       const TimeSeriesWindow& w = windows.back();
       JsonValue window = JsonValue::Object();
@@ -116,10 +114,10 @@ bool WriteDump(const Installed& state, std::string_view reason,
   }
   root.Set("timeseries", std::move(ts_section));
 
-  if (state.traces != nullptr) {
+  if (sources.traces != nullptr) {
     // The stitched DAG of the most recent recovery processes; spans above
     // carry matching trace ids, so the dump is filterable by trace.
-    std::vector<TraceRecord> records = state.traces->Snapshot();
+    std::vector<TraceRecord> records = sources.traces->Snapshot();
     if (records.size() > state.config.max_trace_records) {
       records.erase(records.begin(),
                     records.end() - static_cast<std::ptrdiff_t>(
@@ -160,10 +158,8 @@ void SignalHandler(int signo) {
 
 }  // namespace
 
-void FlightRecorder::Install(FlightRecorderConfig config, const Tracer* tracer,
-                             const MetricsRegistry* metrics,
-                             const TimeSeriesRecorder* timeseries,
-                             const TraceCollector* traces) {
+void FlightRecorder::Install(FlightRecorderConfig config,
+                             const Observers& sources) {
   MutexLock lock(InstallMutex());
   Installed* state = g_installed.load(std::memory_order_acquire);
   const bool first = state == nullptr;
@@ -172,10 +168,7 @@ void FlightRecorder::Install(FlightRecorderConfig config, const Tracer* tracer,
   // (kept reachable) rather than deleting it.
   if (first) state = new Installed();
   state->config = std::move(config);
-  state->tracer = tracer;
-  state->metrics = metrics;
-  state->timeseries = timeseries;
-  state->traces = traces;
+  state->sources = sources;
   if (first) {
     struct sigaction action = {};
     action.sa_handler = &SignalHandler;

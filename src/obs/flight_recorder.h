@@ -26,6 +26,7 @@
 #include <string_view>
 
 #include "obs/metrics.h"
+#include "obs/observers.h"
 #include "obs/timeseries.h"
 #include "obs/trace_collector.h"
 #include "obs/tracer.h"
@@ -49,14 +50,11 @@ class FlightRecorder {
   FlightRecorder() = delete;
 
   // Installs the recorder: stores the sources (any may be null; non-null
-  // ones must outlive the installation), registers the AER_CHECK failure
-  // hook and the fatal-signal handlers. A second Install replaces the
-  // sources; previously chained signal handlers are not restored until
-  // Uninstall.
-  static void Install(FlightRecorderConfig config, const Tracer* tracer,
-                      const MetricsRegistry* metrics,
-                      const TimeSeriesRecorder* timeseries,
-                      const TraceCollector* traces = nullptr);
+  // ones must outlive the installation and are only read), registers the
+  // AER_CHECK failure hook and the fatal-signal handlers. A second Install
+  // replaces the sources; previously chained signal handlers are not
+  // restored until Uninstall.
+  static void Install(FlightRecorderConfig config, const Observers& sources);
 
   // Removes the hook and restores the previous signal handlers.
   static void Uninstall();

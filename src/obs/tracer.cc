@@ -13,27 +13,20 @@ Tracer::Tracer(std::size_t capacity) : capacity_(capacity) {
   AER_CHECK_GT(capacity, 0u) << "tracer ring buffer needs at least one slot";
 }
 
-SpanId Tracer::StartSpan(std::string_view name, SimTime start, SpanId parent) {
+SpanId Tracer::StartSpan(std::string_view name, SimTime start,
+                         std::string_view label, SpanId parent,
+                         std::int64_t machine, TraceId trace_id) {
   MutexLock lock(mu_);
   const SpanId id = next_id_++;
   Span& span = open_[id];
   span.id = id;
   span.parent = parent;
   span.name = std::string(name);
+  span.label = std::string(label);
+  span.machine = machine;
+  span.trace_id = trace_id;
   span.start = start;
   return id;
-}
-
-void Tracer::SetLabel(SpanId id, std::string_view label) {
-  MutexLock lock(mu_);
-  auto it = open_.find(id);
-  if (it != open_.end()) it->second.label = std::string(label);
-}
-
-void Tracer::SetMachine(SpanId id, std::int64_t machine) {
-  MutexLock lock(mu_);
-  auto it = open_.find(id);
-  if (it != open_.end()) it->second.machine = machine;
 }
 
 void Tracer::SetTraceId(SpanId id, TraceId trace_id) {

@@ -64,17 +64,17 @@ class Tracer {
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
 
-  // Opens a span; ids are assigned sequentially from 1 so same-seed runs
-  // produce identical ids.
+  // Opens a span with its label, machine and distributed trace id (the
+  // arguments Instant shares come in Instant's order); ids are assigned
+  // sequentially from 1 so same-seed runs produce identical ids.
   SpanId StartSpan(std::string_view name, SimTime start,
-                   SpanId parent = kNoSpan);
+                   std::string_view label = {}, SpanId parent = kNoSpan,
+                   std::int64_t machine = -1, TraceId trace_id = kNoTrace);
 
   // The following are no-ops for unknown (already-closed or never-opened)
   // ids, so call sites need not track span lifetimes precisely.
-  void SetLabel(SpanId id, std::string_view label);
-  void SetMachine(SpanId id, std::int64_t machine);
-  // Tags the span with its distributed trace id (crash dumps and span dumps
-  // become filterable by trace).
+  // Tags the span with a distributed trace id that arrived after it opened
+  // (crash dumps and span dumps become filterable by trace).
   void SetTraceId(SpanId id, TraceId trace_id);
   void AddEvent(SpanId id, SimTime time, std::string_view label);
   // Closes the span; `end` is clamped to the span's start so durations are

@@ -52,7 +52,8 @@ SimulationPlatform::ReplayOutcome SimulationPlatform::ReplayPolicy(
   return outcome;
 }
 
-void SimulationPlatform::SetMetrics(obs::MetricsRegistry* metrics) {
+void SimulationPlatform::SetObservers(const obs::Observers& observers) {
+  obs::MetricsRegistry* metrics = observers.metrics;
   if (metrics == nullptr) {
     obs_ = ObsMetrics{};
     return;

@@ -12,6 +12,7 @@
 
 #include "cluster/policy.h"
 #include "obs/metrics.h"
+#include "obs/observers.h"
 #include "sim/replay.h"
 
 namespace aer {
@@ -48,12 +49,11 @@ class SimulationPlatform {
   ReplayOutcome ReplayPolicy(const RecoveryProcess& process,
                              RecoveryPolicy& policy) const;
 
-  // Optional observability sink: each ReplayPolicy call feeds the
+  // Attaches the metrics sink: each ReplayPolicy call feeds the
   // aer_replay_* counters and the cost histogram. Only commutative metric
   // updates are emitted, so parallel evaluation (any interleaving of
-  // replays) yields byte-identical snapshots. The registry must outlive
-  // the platform.
-  void SetMetrics(obs::MetricsRegistry* metrics);
+  // replays) yields byte-identical snapshots.
+  void SetObservers(const obs::Observers& observers);
 
   struct ValidationRow {
     ErrorTypeId type = kInvalidErrorType;
@@ -72,7 +72,7 @@ class SimulationPlatform {
       RecoveryPolicy& policy) const;
 
  private:
-  // Cached handles resolved once in SetMetrics so the (const) replay path
+  // Cached handles resolved once in SetObservers so the (const) replay path
   // never takes the registry lock. The pointed-to metrics are thread-safe.
   struct ObsMetrics {
     obs::Counter* replays = nullptr;

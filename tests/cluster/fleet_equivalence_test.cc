@@ -28,6 +28,7 @@
 #include "common/thread_pool.h"
 #include "core/policy_generator.h"
 #include "fleet/fleet_sim.h"
+#include "fnv.h"
 #include "rl/policy.h"
 
 namespace aer::fleet {
@@ -63,28 +64,6 @@ void ExpectResultsIdentical(const SimulationResult& a,
   EXPECT_EQ(a.processes_completed, b.processes_completed);
   EXPECT_EQ(a.total_downtime, b.total_downtime);
 }
-
-// FNV-1a 64 over bytes and little-endian 64-bit integers.
-class Fnv {
- public:
-  void Bytes(std::string_view bytes) {
-    for (const char c : bytes) Byte(static_cast<unsigned char>(c));
-  }
-  void Int(std::int64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      Byte(static_cast<unsigned char>(static_cast<std::uint64_t>(v) >>
-                                      (8 * i)));
-    }
-  }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  void Byte(unsigned char b) {
-    hash_ ^= b;
-    hash_ *= 0x100000001b3ULL;
-  }
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
 
 struct Fingerprint {
   std::uint64_t log = 0;      // serialized paper-format log

@@ -53,7 +53,7 @@ TEST(ControlHarnessTest, CleanRunCuresEverythingUnderOneLeader) {
                               NetFaultScript{});
   obs::MetricsRegistry metrics;
   obs::Tracer tracer;
-  harness.SetObservers(&tracer, &metrics);
+  harness.SetObservers({.metrics = &metrics, .tracer = &tracer});
 
   const ControlHarnessResult result = harness.Run({
       {20, 1, "Watchdog", 0},

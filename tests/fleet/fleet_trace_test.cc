@@ -38,7 +38,7 @@ std::vector<obs::TraceRecord> RunTraced(int num_shards, int num_threads,
   config.num_shards = num_shards;
   obs::TraceCollector traces({.sample_probability = sample_probability});
   FleetSimulator sim(config, MakeDefaultCatalog());
-  sim.SetTraceCollector(&traces);
+  sim.SetObservers({.traces = &traces});
   if (num_threads > 1) {
     ThreadPool pool(num_threads);
     sim.Run(policy, &pool);
@@ -106,7 +106,7 @@ TEST(FleetTraceTest, TracingDoesNotPerturbTheSimulation) {
   UserDefinedPolicy traced_policy;
   obs::TraceCollector traces;
   FleetSimulator traced(config, MakeDefaultCatalog());
-  traced.SetTraceCollector(&traces);
+  traced.SetObservers({.traces = &traces});
   const SimulationResult with_traces = traced.Run(traced_policy);
 
   std::ostringstream a;

@@ -148,7 +148,7 @@ TEST(InjectionHarnessTest, ReorderDepthTracksDelayedDeliveries) {
   config.max_delay = 600;
   InjectionHarness harness(policy, HardenedConfig(), config);
   obs::MetricsRegistry metrics;
-  harness.SetObservers(nullptr, &metrics);
+  harness.SetObservers({.metrics = &metrics});
   const HarnessResult result = harness.Run(MakeIncidents(20));
 
   EXPECT_TRUE(result.all_completed);
@@ -177,7 +177,7 @@ TEST(InjectionHarnessTest, PerArmInjectionCountsMirrorIntoMetrics) {
   config.false_success = 0.2;
   InjectionHarness harness(policy, HardenedConfig(), config);
   obs::MetricsRegistry metrics;
-  harness.SetObservers(nullptr, &metrics);
+  harness.SetObservers({.metrics = &metrics});
   const HarnessResult result = harness.Run(MakeIncidents(40));
 
   EXPECT_TRUE(result.all_completed);

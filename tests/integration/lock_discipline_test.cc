@@ -80,7 +80,7 @@ TEST(LockDisciplineTest, GuardedPolicyConcurrentDecisionsStayConsistent) {
   GuardedPolicy guard(primary, fallback, config);
 
   obs::MetricsRegistry metrics;
-  guard.SetObservers(nullptr, &metrics);
+  guard.SetObservers({.metrics = &metrics});
 
   // Each thread drives its own disjoint set of machines through full
   // decide -> outcome processes; attribution entries never collide.

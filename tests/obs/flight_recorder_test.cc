@@ -40,8 +40,7 @@ TEST_F(FlightRecorderTest, ManualDumpContainsAllSections) {
   MetricsRegistry metrics;
   TimeSeriesRecorder timeseries(metrics, {.window_width = 100});
 
-  const SpanId parent = tracer.StartSpan("recovery", 10);
-  tracer.SetLabel(parent, "Watchdog");
+  const SpanId parent = tracer.StartSpan("recovery", 10, "Watchdog");
   tracer.EndSpan(parent, 50);
   metrics.GetCounter("aer_test_total").Inc(5);
   timeseries.AdvanceTo(100);
@@ -52,7 +51,9 @@ TEST_F(FlightRecorderTest, ManualDumpContainsAllSections) {
   const std::string path =
       ::testing::TempDir() + "/aer_flight_manual.json";
   std::remove(path.c_str());
-  FlightRecorder::Install({.path = path}, &tracer, &metrics, &timeseries);
+  FlightRecorder::Install({.path = path}, {.metrics = &metrics,
+                                           .tracer = &tracer,
+                                           .timeseries = &timeseries});
   EXPECT_TRUE(FlightRecorder::installed());
   ASSERT_TRUE(FlightRecorder::DumpNow("unit test"));
 
@@ -85,8 +86,8 @@ TEST_F(FlightRecorderTest, DumpStitchesTraceRecordsIntoADag) {
 
   const std::string path = ::testing::TempDir() + "/aer_flight_traces.json";
   std::remove(path.c_str());
-  FlightRecorder::Install({.path = path}, nullptr, &metrics, nullptr,
-                          &traces);
+  FlightRecorder::Install({.path = path},
+                          {.metrics = &metrics, .traces = &traces});
   ASSERT_TRUE(FlightRecorder::DumpNow("trace dump"));
 
   const std::string dump = ReadFileOrEmpty(path);
@@ -114,8 +115,8 @@ TEST_F(FlightRecorderTest, MaxTraceRecordsKeepsOnlyTheMostRecent) {
 
   const std::string path = ::testing::TempDir() + "/aer_flight_trim.json";
   std::remove(path.c_str());
-  FlightRecorder::Install({.path = path, .max_trace_records = 2}, nullptr,
-                          &metrics, nullptr, &traces);
+  FlightRecorder::Install({.path = path, .max_trace_records = 2},
+                          {.metrics = &metrics, .traces = &traces});
   ASSERT_TRUE(FlightRecorder::DumpNow("trim traces"));
 
   const std::string dump = ReadFileOrEmpty(path);
@@ -134,8 +135,8 @@ TEST_F(FlightRecorderTest, MaxSpansKeepsOnlyTheMostRecent) {
   const std::string path =
       ::testing::TempDir() + "/aer_flight_maxspans.json";
   std::remove(path.c_str());
-  FlightRecorder::Install({.path = path, .max_spans = 3}, &tracer, nullptr,
-                          nullptr);
+  FlightRecorder::Install({.path = path, .max_spans = 3},
+                          {.tracer = &tracer});
   ASSERT_TRUE(FlightRecorder::DumpNow("trim"));
   const std::string dump = ReadFileOrEmpty(path);
   std::remove(path.c_str());
@@ -158,7 +159,7 @@ TEST_F(FlightRecorderTest, CheckFailureWritesDump) {
       {
         MetricsRegistry metrics;
         metrics.GetCounter("aer_test_total").Inc(9);
-        FlightRecorder::Install({.path = path}, nullptr, &metrics, nullptr);
+        FlightRecorder::Install({.path = path}, {.metrics = &metrics});
         AER_CHECK(false) << "flight recorder check probe";
       },
       "flight recorder check probe");
@@ -175,7 +176,7 @@ TEST_F(FlightRecorderTest, FatalSignalWritesDumpAndRedelivers) {
   std::remove(path.c_str());
   EXPECT_DEATH(
       {
-        FlightRecorder::Install({.path = path}, nullptr, nullptr, nullptr);
+        FlightRecorder::Install({.path = path}, {});
         std::raise(SIGABRT);
       },
       "");

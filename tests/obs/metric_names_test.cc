@@ -38,7 +38,7 @@ TEST(MetricNamesTest, RecoveryManagerRegistersFrozenSet) {
   obs::MetricsRegistry registry;
   UserDefinedPolicy policy;
   RecoveryManager manager(policy);
-  manager.SetObservers(nullptr, &registry);
+  manager.SetObservers({.metrics = &registry});
   const std::vector<std::string> expected = {
       "aer_recovery_actions_per_process",
       "aer_recovery_actions_total",
@@ -62,7 +62,7 @@ TEST(MetricNamesTest, GuardedPolicyRegistersFrozenSet) {
   UserDefinedPolicy primary;
   UserDefinedPolicy fallback;
   GuardedPolicy guard(primary, fallback);
-  guard.SetObservers(nullptr, &registry);
+  guard.SetObservers({.metrics = &registry});
   const std::vector<std::string> expected = {
       "aer_guard_breaker_open",
       "aer_guard_breaker_trips_total",
@@ -78,7 +78,7 @@ TEST(MetricNamesTest, InjectionHarnessRegistersFrozenSet) {
   obs::MetricsRegistry registry;
   UserDefinedPolicy policy;
   InjectionHarness harness(policy, RecoveryManagerConfig{}, HarnessConfig{});
-  harness.SetObservers(nullptr, &registry);
+  harness.SetObservers({.metrics = &registry});
   // The harness forwards to its internal RecoveryManager, so its set is the
   // aer_inject_* names plus the manager's.
   const std::vector<std::string> expected_inject = {
@@ -106,7 +106,7 @@ TEST(MetricNamesTest, ControlPlaneHarnessRegistersFrozenSet) {
   ctrl::ControlPlaneHarness harness(policy, RecoveryManagerConfig{},
                                     ctrl::ControlHarnessConfig{},
                                     NetFaultScript{});
-  harness.SetObservers(nullptr, &registry);
+  harness.SetObservers({.metrics = &registry});
   // The full ctrl stack: coordinators (+ their gating service and embedded
   // recovery manager), the net perturber, and the harness's fence metric.
   const std::vector<std::string> expected_ctrl = {
@@ -160,7 +160,7 @@ TEST(MetricNamesTest, SimulationPlatformRegistersFrozenSet) {
   SimulationPlatform platform(processes, catalog,
                               dataset.result.log.symptoms());
   obs::MetricsRegistry registry;
-  platform.SetMetrics(&registry);
+  platform.SetObservers({.metrics = &registry});
   const std::vector<std::string> expected = {
       "aer_replay_cost_seconds",
       "aer_replay_forced_manual_total",
@@ -178,7 +178,7 @@ TEST(MetricNamesTest, FleetSimulatorRegistersFrozenSet) {
   obs::MetricsRegistry registry;
   UserDefinedPolicy policy;
   fleet::FleetSimulator sim(config, MakeDefaultCatalog());
-  sim.SetMetrics(&registry);
+  sim.SetObservers({.metrics = &registry});
   sim.Run(policy);
   const std::vector<std::string> expected = {
       "aer_fleet_arrivals_skipped_total",
@@ -255,13 +255,13 @@ TEST(MetricNamesTest, AllFrozenNamesAreValid) {
   UserDefinedPolicy primary;
   UserDefinedPolicy fallback;
   GuardedPolicy guard(primary, fallback);
-  guard.SetObservers(nullptr, &registry);
+  guard.SetObservers({.metrics = &registry});
   InjectionHarness harness(guard, RecoveryManagerConfig{}, HarnessConfig{});
-  harness.SetObservers(nullptr, &registry);
+  harness.SetObservers({.metrics = &registry});
   ctrl::ControlPlaneHarness ctrl_harness(fallback, RecoveryManagerConfig{},
                                          ctrl::ControlHarnessConfig{},
                                          NetFaultScript{});
-  ctrl_harness.SetObservers(nullptr, &registry);
+  ctrl_harness.SetObservers({.metrics = &registry});
   PublishTrainingTelemetry(registry, {});
   obs::TraceCollector collector;
   collector.SetMetrics(&registry);

@@ -31,7 +31,7 @@ TEST(ObsSpanStructureTest, RecoveryProcessSpansNestActions) {
   RecoveryManager manager(policy);
   obs::Tracer tracer;
   obs::MetricsRegistry metrics;
-  manager.SetObservers(&tracer, &metrics);
+  manager.SetObservers({.metrics = &metrics, .tracer = &tracer});
 
   manager.OnSymptom(100, 1, "Watchdog");
   ASSERT_TRUE(manager.OnRecoveryNeeded(150, 1).has_value());
@@ -101,9 +101,9 @@ ObservedRun RunObservedHarness(std::uint64_t seed) {
 
   obs::Tracer tracer;
   obs::MetricsRegistry metrics;
-  guard.SetObservers(&tracer, &metrics);
+  guard.SetObservers({.metrics = &metrics, .tracer = &tracer});
   InjectionHarness harness(guard, manager_config, harness_config);
-  harness.SetObservers(&tracer, &metrics);
+  harness.SetObservers({.metrics = &metrics, .tracer = &tracer});
   harness.Run(incidents);
 
   ObservedRun run;
@@ -144,7 +144,7 @@ TEST(ObsDeterminismTest, ClusterSimMetricsDeterministic) {
     obs::MetricsRegistry metrics;
     UserDefinedPolicy policy;
     fleet::FleetSimulator sim(fleet::FleetSimConfig{.sim = config}, catalog);
-    sim.SetMetrics(&metrics);
+    sim.SetObservers({.metrics = &metrics});
     sim.RunSeedCompat(policy);
     text = metrics.ExportText();
     EXPECT_GT(metrics.GetCounter("aer_fleet_processes_total").value(), 0);
@@ -178,8 +178,9 @@ TEST(ObsDeterminismTest, PolicyBytesUnaffectedByObservability) {
   obs::Tracer tracer;
   const std::string dump_path =
       ::testing::TempDir() + "/aer_obs_determinism_flight.json";
-  obs::FlightRecorder::Install({.path = dump_path}, &tracer, &registry,
-                               &recorder);
+  obs::FlightRecorder::Install(
+      {.path = dump_path},
+      {.metrics = &registry, .tracer = &tracer, .timeseries = &recorder});
   ProfileRegistry::Global().Reset();
   std::string observed;
   {

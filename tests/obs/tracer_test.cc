@@ -12,11 +12,10 @@ namespace {
 
 TEST(TracerTest, SpanLifecycle) {
   Tracer tracer;
-  const SpanId id = tracer.StartSpan("recovery", 100);
+  const SpanId id =
+      tracer.StartSpan("recovery", 100, "Watchdog", kNoSpan, 3, 0xabc);
   EXPECT_EQ(id, 1);
   EXPECT_EQ(tracer.open_count(), 1u);
-  tracer.SetLabel(id, "Watchdog");
-  tracer.SetMachine(id, 3);
   tracer.AddEvent(id, 150, "action_issued");
   tracer.EndSpan(id, 200);
   EXPECT_EQ(tracer.open_count(), 0u);
@@ -29,6 +28,7 @@ TEST(TracerTest, SpanLifecycle) {
   EXPECT_EQ(spans[0].name, "recovery");
   EXPECT_EQ(spans[0].label, "Watchdog");
   EXPECT_EQ(spans[0].machine, 3);
+  EXPECT_EQ(spans[0].trace_id, 0xabcu);
   EXPECT_EQ(spans[0].start, 100);
   EXPECT_EQ(spans[0].end, 200);
   EXPECT_EQ(spans[0].duration(), 100);
@@ -40,7 +40,7 @@ TEST(TracerTest, SpanLifecycle) {
 TEST(TracerTest, SequentialIdsAndParentLinks) {
   Tracer tracer;
   const SpanId process = tracer.StartSpan("recovery", 0);
-  const SpanId action = tracer.StartSpan("action:REBOOT", 10, process);
+  const SpanId action = tracer.StartSpan("action:REBOOT", 10, {}, process);
   EXPECT_EQ(process, 1);
   EXPECT_EQ(action, 2);
   tracer.EndSpan(action, 20);
@@ -55,8 +55,7 @@ TEST(TracerTest, SequentialIdsAndParentLinks) {
 
 TEST(TracerTest, UnknownIdIsNoOp) {
   Tracer tracer;
-  tracer.SetLabel(99, "x");
-  tracer.SetMachine(99, 1);
+  tracer.SetTraceId(99, 1);
   tracer.AddEvent(99, 5, "e");
   tracer.EndSpan(99, 5);
   EXPECT_EQ(tracer.completed_count(), 0);
@@ -109,9 +108,7 @@ TEST(TracerTest, RingKeepsMostRecentAndCountsDropped) {
 
 TEST(TracerTest, FormatSpansIsStable) {
   Tracer tracer;
-  const SpanId id = tracer.StartSpan("recovery", 100);
-  tracer.SetLabel(id, "DiskError");
-  tracer.SetMachine(id, 2);
+  const SpanId id = tracer.StartSpan("recovery", 100, "DiskError", kNoSpan, 2);
   tracer.AddEvent(id, 110, "action_issued:REPLACE");
   tracer.EndSpan(id, 160);
   const std::string text = Tracer::FormatSpans(tracer.Snapshot());
@@ -176,7 +173,7 @@ TEST(TracerTest, EvictedParentRendersSentinel) {
   std::vector<SpanId> children;
   for (int i = 0; i < 4; ++i) {
     const SpanId child =
-        tracer.StartSpan("action:REBOOT", 10 + i, parent);
+        tracer.StartSpan("action:REBOOT", 10 + i, {}, parent);
     tracer.EndSpan(child, 20 + i);
     children.push_back(child);
   }
@@ -201,7 +198,8 @@ TEST(TracerTest, EvictedParentRendersSentinel) {
 TEST(TracerTest, LiveParentsAreNotFlaggedAsEvicted) {
   Tracer tracer(/*capacity=*/8);
   const SpanId open_parent = tracer.StartSpan("recovery", 0);
-  const SpanId child = tracer.StartSpan("action:REBOOT", 1, open_parent);
+  const SpanId child =
+      tracer.StartSpan("action:REBOOT", 1, {}, open_parent);
   tracer.EndSpan(child, 5);
   {
     const std::vector<Span> spans = tracer.Snapshot();

@@ -477,5 +477,76 @@ TEST(CheapestPrefixTest, ExactTieGoesToTheLexicographicallyFirstSequence) {
   }
 }
 
+// Independent oracle for the branch-and-bound search: enumerate every
+// sequence over the type's observed actions up to the search's length limit
+// (max_length, and the cap minus its manual-repair slot), price each with
+// EvaluateSequence, and take the best under the search's own order — cost
+// within 1e-9, then more self-contained cures, then shorter. No pruning, so
+// a bound that cuts off the optimum shows up as a worse (cost, cures) pair.
+TEST(ExactBestSequenceTest, MatchesBruteForceEnumeration) {
+  struct Priced {
+    double cost = 0.0;
+    std::int64_t cured = 0;
+    std::size_t length = 0;
+  };
+  int searches = 0;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    const Fixture fx = RandomFixture(seed, 30);
+    const std::vector<RepairAction> observed =
+        fx.estimator.ObservedActions(fx.type);
+    for (const int cap : {3, 20}) {
+      // Every sequence of length 0..min(5, cap - 1), priced once.
+      std::vector<Priced> priced;
+      std::vector<ActionSequence> frontier = {{}};
+      for (int length = 0; length <= std::min(5, cap - 1); ++length) {
+        std::vector<ActionSequence> next;
+        for (const ActionSequence& seq : frontier) {
+          const SequenceEvaluation eval = EvaluateSequence(
+              seq, fx.processes, fx.type, fx.estimator, cap);
+          priced.push_back(
+              {eval.total_cost, eval.cured_by_sequence, seq.size()});
+          for (const RepairAction a : observed) {
+            next.push_back(seq);
+            next.back().push_back(a);
+          }
+        }
+        frontier = std::move(next);
+      }
+      for (int max_length = 1; max_length <= 5; ++max_length) {
+        const std::size_t limit =
+            static_cast<std::size_t>(std::min(max_length, cap - 1));
+        double min_cost = std::numeric_limits<double>::infinity();
+        for (const Priced& p : priced) {
+          if (p.length <= limit) min_cost = std::min(min_cost, p.cost);
+        }
+        Priced want{min_cost, -1, 0};
+        for (const Priced& p : priced) {
+          if (p.length > limit || p.cost >= min_cost + 1e-9) continue;
+          if (p.cured > want.cured ||
+              (p.cured == want.cured && p.length < want.length)) {
+            want = p;
+          }
+        }
+        const ActionSequence got = ExactBestSequence(
+            fx.processes, fx.type, fx.estimator, cap,
+            {.max_length = max_length});
+        const SequenceEvaluation got_eval = EvaluateSequence(
+            got, fx.processes, fx.type, fx.estimator, cap);
+        EXPECT_NEAR(got_eval.total_cost, want.cost, 1e-9)
+            << "seed " << seed << " cap " << cap << " max_length "
+            << max_length;
+        EXPECT_EQ(got_eval.cured_by_sequence, want.cured)
+            << "seed " << seed << " cap " << cap << " max_length "
+            << max_length;
+        EXPECT_EQ(got.size(), want.length)
+            << "seed " << seed << " cap " << cap << " max_length "
+            << max_length;
+        ++searches;
+      }
+    }
+  }
+  EXPECT_EQ(searches, 20 * 2 * 5);
+}
+
 }  // namespace
 }  // namespace aer

@@ -6,7 +6,6 @@
 // variant, with the sweep cap both on and off the check_every grid: off the
 // grid, the plain trainer re-reads the final table while the tree returns
 // its last scan.
-#include <bit>
 #include <cctype>
 #include <cstdint>
 #include <ostream>
@@ -18,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fnv.h"
 #include "rl/selection_tree.h"
 
 namespace aer {
@@ -83,36 +83,14 @@ struct Workload {
   }
 };
 
-// FNV-1a 64 over bytes, little-endian 64-bit integers and doubles' bits.
-class Fnv {
- public:
-  void Bytes(std::string_view bytes) {
-    for (const char c : bytes) Byte(static_cast<unsigned char>(c));
-  }
-  void Int(std::int64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      Byte(static_cast<unsigned char>(static_cast<std::uint64_t>(v) >>
-                                      (8 * i)));
-    }
-  }
-  void Double(double v) { Int(std::bit_cast<std::int64_t>(v)); }
-  void Stat(const RunningStat& s) {
-    Int(s.count());
-    Double(s.mean());
-    Double(s.min());
-    Double(s.max());
-    Double(s.sum());
-    Double(s.variance());
-  }
-  std::uint64_t value() const { return hash_; }
-
- private:
-  void Byte(unsigned char b) {
-    hash_ ^= b;
-    hash_ *= 0x100000001b3ULL;
-  }
-  std::uint64_t hash_ = 0xcbf29ce484222325ULL;
-};
+void AddStat(Fnv& fnv, const RunningStat& s) {
+  fnv.Int(s.count());
+  fnv.Double(s.mean());
+  fnv.Double(s.min());
+  fnv.Double(s.max());
+  fnv.Double(s.sum());
+  fnv.Double(s.variance());
+}
 
 template <typename Trainer>
 std::uint64_t FingerprintOf(const Trainer& trainer, std::size_t num_types) {
@@ -138,8 +116,8 @@ std::uint64_t FingerprintOf(const Trainer& trainer, std::size_t num_types) {
     fnv.Int(static_cast<std::int64_t>(r.sequence.size()));
     for (const RepairAction a : r.sequence) fnv.Int(ActionIndex(a));
     const TypeTelemetry& tm = r.telemetry;
-    fnv.Stat(tm.temperature);
-    fnv.Stat(tm.max_q_delta);
+    AddStat(fnv, tm.temperature);
+    AddStat(fnv, tm.max_q_delta);
     fnv.Int(tm.q_updates);
     fnv.Int(tm.visited_state_actions);
     fnv.Int(tm.explorable_state_actions);

@@ -60,6 +60,14 @@ trips them):
                     the same way metric names are: the per-stage
                     aer_trace_stage_<name>_seconds histograms and the
                     aerctl/Chrome export surfaces key on them.
+  one-attach-point  In src/, every instrumented component attaches its
+                    observability sinks through exactly one method,
+                    SetObservers(const obs::Observers&) (src/obs/
+                    observers.h). Flags any declaration of a SetObservers
+                    taking anything else, and of SetTraceCollector /
+                    SetTimeSeries / SetMetrics — except the trace
+                    collector's own SetMetrics (src/obs/trace_collector.*):
+                    the collector is a sink, not an instrumented component.
 
 Suppress a finding on one line with:  // aer-lint: allow(<rule>)
 
@@ -156,6 +164,18 @@ STAGE_CATALOG_SCOPES = ("src/", "bench/")
 STAGE_REGISTRATION = re.compile(r'\bAER_TRACE_STAGE\s*\(\s*"([a-z0-9_]+)"')
 STAGE_CATALOG_DOC = METRIC_CATALOG_DOC
 STAGE_TOKEN = re.compile(r"stage:([a-z0-9_]+)")
+
+# One attach point per component. Matched on the stripped source across
+# line breaks; a declaration or definition is the method name preceded by a
+# return type (and optionally a Class:: qualifier), which calls through `.`,
+# `->` or an unqualified `SetObservers({...})` never are.
+ATTACH_SCOPES = ("src/",)
+ATTACH_DECL = re.compile(
+    r"\b(?!return\b)[A-Za-z_]\w*[\s*&]+(?:\w+\s*::\s*)*"
+    r"(SetObservers|SetTraceCollector|SetTimeSeries|SetMetrics)"
+    r"\s*\(([^()]*)\)")
+ATTACH_PARAM = re.compile(r"const\s+obs\s*::\s*Observers\s*&\s*\w*")
+ATTACH_SINK_FILES = {"src/obs/trace_collector.h", "src/obs/trace_collector.cc"}
 
 
 def strip_comments_and_strings(text: str) -> str:
@@ -342,6 +362,22 @@ class Linter:
 
         if rel.startswith(STAGE_CATALOG_SCOPES):
             self.lint_stage_catalog(path, text, allows)
+
+        if rel.startswith(ATTACH_SCOPES) and rel not in ATTACH_SINK_FILES:
+            self.lint_attach_points(path, code, allows)
+
+    def lint_attach_points(self, path: Path, code: str,
+                           allows: dict[int, set[str]]) -> None:
+        for m in ATTACH_DECL.finditer(code):
+            name, params = m.group(1), m.group(2).strip()
+            if name == "SetObservers" and ATTACH_PARAM.fullmatch(params):
+                continue
+            lineno = code.count("\n", 0, m.start(1)) + 1
+            self.report(
+                path, lineno, "one-attach-point",
+                f"{name}({' '.join(params.split())}) adds an attach point; "
+                f"a component takes its sinks only through "
+                f"SetObservers(const obs::Observers&)", allows)
 
     def lint_metric_catalog(self, path: Path, text: str,
                             allows: dict[int, set[str]]) -> None:

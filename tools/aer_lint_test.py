@@ -411,6 +411,50 @@ class AerLintTest(unittest.TestCase):
         self.assert_rule(findings, "rng-containment")
         self.assertIn(":4:", findings[0])
 
+    # -- one-attach-point -------------------------------------------------
+
+    def test_legacy_setters_flagged(self):
+        for decl in ("void SetMetrics(obs::MetricsRegistry* metrics);",
+                     "void SetTraceCollector(obs::TraceCollector* t) {}",
+                     "void SetTimeSeries(obs::TimeSeriesRecorder* r);",
+                     "void Platform::SetMetrics(\n"
+                     "    obs::MetricsRegistry* metrics) {}"):
+            findings = self.repo.lint("src/sim/platform.h", decl + "\n")
+            self.assert_rule(findings, "one-attach-point")
+
+    def test_positional_set_observers_flagged(self):
+        findings = self.repo.lint(
+            "src/core/recovery_manager.cc",
+            "int x = 0;\n"
+            "void RecoveryManager::SetObservers(\n"
+            "    obs::Tracer* tracer, obs::MetricsRegistry* metrics) {}\n")
+        self.assert_rule(findings, "one-attach-point")
+        self.assertIn(":2:", findings[0])
+
+    def test_observers_value_and_calls_ok(self):
+        findings = self.repo.lint(
+            "src/ctrl/harness.cc",
+            "void Harness::SetObservers(const obs::Observers& observers) {\n"
+            "  net_.SetObservers(observers);\n"
+            "  coordinator->SetObservers(observers_);\n"
+            "  SetObservers({.metrics = metrics});\n"
+            "  collector.SetMetrics(registry);\n"
+            "}\n")
+        self.assertEqual(findings, [])
+
+    def test_trace_collector_sink_and_non_src_exempt(self):
+        decl = "void SetMetrics(MetricsRegistry* metrics);\n"
+        self.assertEqual(self.repo.lint("src/obs/trace_collector.cc", decl),
+                         [])
+        self.assertEqual(self.repo.lint("tests/obs/fake_sink.cc", decl), [])
+
+    def test_one_attach_point_allow_pragma(self):
+        findings = self.repo.lint(
+            "src/core/recovery_manager.cc",
+            "void SetTraceCollector(  // aer-lint: allow(one-attach-point)\n"
+            "    obs::TraceCollector* traces) {}\n")
+        self.assertEqual(findings, [])
+
     # -- end-to-end exit codes ----------------------------------------------
 
     def test_main_exit_codes(self):
