@@ -29,6 +29,10 @@ import sys
 import time
 from pathlib import Path
 
+# The trend-file writer is shared with tools/perf_trend.py.
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
+import perf_trend  # noqa: E402
+
 # Benches that need extra flags to finish quickly in --smoke mode.
 SMOKE_EXTRA_ARGS = {
     "micro_benchmarks": ["--benchmark_min_time=0.05"],
@@ -146,19 +150,6 @@ def compare(records: dict, baseline_path: Path, threshold: float) -> list:
     return errors
 
 
-def git_commit() -> str:
-    """The tree actually measured: HEAD's hash, suffixed "-dirty" when the
-    working tree has uncommitted changes (so such rows never pass for HEAD)."""
-    try:
-        proc = subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--abbrev=7"],
-            capture_output=True, text=True,
-            cwd=Path(__file__).resolve().parent)
-    except OSError:
-        return "unknown"
-    return proc.stdout.strip() if proc.returncode == 0 else "unknown"
-
-
 def append_trend(records: dict, trend_path: Path) -> None:
     """Appends one JSONL row per bench: wall time and throughput over time.
 
@@ -169,23 +160,23 @@ def append_trend(records: dict, trend_path: Path) -> None:
     different machines are distinguishable only by their commit, so trends
     are most meaningful from a stable runner (the bench-smoke CI leg).
     """
-    stamp = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
-    commit = git_commit()
-    trend_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(trend_path, "a") as f:
-        for name, record in sorted(records.items()):
-            row = {
-                "utc": stamp,
-                "commit": commit,
-                "bench": name,
-                "scale": record["scale"],
-                "threads": record.get("threads"),
-                "wall_ms": record.get("wall_ms"),
-            }
-            for key, value in sorted(record.get("metrics", {}).items()):
-                if key.startswith(THROUGHPUT_PREFIXES + TREND_LATENCY_PREFIXES):
-                    row[key] = value
-            f.write(json.dumps(row) + "\n")
+    stamp = perf_trend.utc_now()
+    commit = perf_trend.git_commit()
+    rows = []
+    for name, record in sorted(records.items()):
+        row = {
+            "utc": stamp,
+            "commit": commit,
+            "bench": name,
+            "scale": record["scale"],
+            "threads": record.get("threads"),
+            "wall_ms": record.get("wall_ms"),
+        }
+        for key, value in sorted(record.get("metrics", {}).items()):
+            if key.startswith(THROUGHPUT_PREFIXES + TREND_LATENCY_PREFIXES):
+                row[key] = value
+        rows.append(row)
+    perf_trend.append_rows(rows, trend_path)
     print(f"run_all: appended {len(records)} trend rows -> {trend_path}")
 
 

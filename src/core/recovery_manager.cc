@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 
 #include "common/check.h"
 #include "common/profiler.h"
@@ -116,8 +117,10 @@ void RecoveryManager::OnSymptom(SimTime time, MachineId machine,
     process.last_symptom_time = seen;
     log_.Append(LogEntry::Symptom(seen, machine, id));
     if (tracer_) {
-      tracer_->AddEvent(process.span, seen,
-                        StrFormat("symptom:%s", std::string(symptom).c_str()));
+      // Stop at an embedded NUL, as a C-string label would.
+      std::string label = "symptom:";
+      label += symptom.substr(0, symptom.find('\0'));
+      tracer_->AddEvent(process.span, seen, label);
     }
     return;
   }
@@ -133,6 +136,7 @@ void RecoveryManager::OnSymptom(SimTime time, MachineId machine,
   MachineHistory& history = history_[machine];
   process.last_recovery_end = history.last_recovery_end;
   // Flap tracking: keep only opens inside the window, then record this one.
+  PruneOpens(history);
   std::erase_if(history.recent_opens, [&](SimTime open_time) {
     return open_time <= time - config_.flap_window;
   });
@@ -210,9 +214,11 @@ std::optional<RepairAction> RecoveryManager::OnRecoveryNeeded(
   ++stats_.actions_taken;
   if (obs_.actions) obs_.actions->Inc();
   if (tracer_) {
+    // ActionName aborts on an out-of-range action from a broken policy.
+    std::string name = "action:";
+    name += ActionName(action);
     process.action_span = tracer_->StartSpan(
-        StrFormat("action:%s", std::string(ActionName(action)).c_str()), now,
-        /*label=*/{}, process.span, machine, process.trace);
+        name, now, /*label=*/{}, process.span, machine, process.trace);
   }
   return action;
 }
@@ -264,7 +270,9 @@ void RecoveryManager::OnActionResult(SimTime time, MachineId machine,
         static_cast<double>(process.tried.size()));
   }
   if (tracer_) tracer_->EndSpan(process.span, now);
-  history_[machine].last_recovery_end = now;
+  MachineHistory& history = history_[machine];
+  history.last_recovery_end = now;
+  Enqueue(machine, history);
   open_.erase(it);
   if (++closes_since_sweep_ >= 64) MaybeEvictHistory(now);
 }
@@ -316,23 +324,70 @@ void RecoveryManager::ExpireInFlightAction(MachineId machine,
 
 void RecoveryManager::MaybeEvictHistory(SimTime now) {
   closes_since_sweep_ = 0;
-  const SimTime horizon = now - config_.history_retention;
-  for (auto it = history_.begin(); it != history_.end();) {
-    MachineHistory& history = it->second;
-    std::erase_if(history.recent_opens, [&](SimTime open_time) {
-      return open_time <= now - config_.flap_window;
-    });
-    const bool stale = history.last_recovery_end < horizon &&
-                       history.recent_opens.empty() &&
-                       !open_.contains(it->first);
-    if (stale) {
-      it = history_.erase(it);
-      ++stats_.history_evictions;
-      if (obs_.history_evictions) obs_.history_evictions->Inc();
-    } else {
-      ++it;
-    }
+  ++sweeps_;
+  while (!sweep_maxima_.empty() && sweep_maxima_.back().now <= now) {
+    sweep_maxima_.pop_back();
   }
+  sweep_maxima_.push_back({sweeps_, now});
+
+  const SimTime horizon = now - config_.history_retention;
+  std::vector<MachineId> flap_blocked;
+  while (!expiry_.empty() && expiry_.top().key <= now) {
+    const ExpiryItem item = expiry_.top();
+    expiry_.pop();
+    const auto it = history_.find(item.machine);
+    if (it == history_.end() || it->second.queued_seq != item.seq) continue;
+    MachineHistory& history = it->second;
+    history.queued_seq = 0;
+    history.queued_key = kNotQueued;
+    if (open_.contains(item.machine)) continue;  // its close re-queues it
+    if (history.last_recovery_end >= horizon) {
+      Enqueue(item.machine, history);  // a later close moved the key up
+      continue;
+    }
+    PruneOpens(history);
+    if (!history.recent_opens.empty()) {
+      // Only flap opens keep it: re-check at the next sweep, since any
+      // sweep's prune may clear them.
+      flap_blocked.push_back(item.machine);
+      continue;
+    }
+    history_.erase(it);
+    ++stats_.history_evictions;
+    if (obs_.history_evictions) obs_.history_evictions->Inc();
+  }
+  for (const MachineId machine : flap_blocked) {
+    Enqueue(machine, history_.find(machine)->second);
+  }
+}
+
+SimTime RecoveryManager::ExpiryKey(const MachineHistory& history) const {
+  const SimTime end = history.last_recovery_end;
+  const SimTime retention = config_.history_retention;
+  return end >= kNotQueued - retention ? kNotQueued : end + retention + 1;
+}
+
+void RecoveryManager::Enqueue(MachineId machine, MachineHistory& history) {
+  const SimTime key = ExpiryKey(history);
+  if (key >= history.queued_key) return;
+  history.queued_key = key;
+  history.queued_seq = ++expiry_seq_;
+  expiry_.push({key, machine, history.queued_seq});
+}
+
+void RecoveryManager::PruneOpens(MachineHistory& history) const {
+  if (history.pruned_through == sweeps_) return;
+  if (!history.recent_opens.empty()) {
+    const auto later = std::upper_bound(
+        sweep_maxima_.begin(), sweep_maxima_.end(), history.pruned_through,
+        [](std::int64_t sweep, const SweepMax& max) {
+          return sweep < max.sweep;
+        });
+    const SimTime cutoff = later->now - config_.flap_window;
+    std::erase_if(history.recent_opens,
+                  [&](SimTime open_time) { return open_time <= cutoff; });
+  }
+  history.pruned_through = sweeps_;
 }
 
 bool RecoveryManager::HasOpenProcess(MachineId machine) const {

@@ -23,11 +23,19 @@
 //     instead of burning retries on a machine that lies about its health;
 //   - per-machine history is evicted after a retention window, so a fleet
 //     of mostly-healthy machines cannot grow the manager's memory without
-//     bound.
+//     bound. An expiry index keeps this off the fleet's size: a close
+//     queues its machine in O(log H) for H retained machines, and every
+//     64th close pops only the entries that are due, O(log H) each,
+//     instead of walking all H.
 #ifndef AER_CORE_RECOVERY_MANAGER_H_
 #define AER_CORE_RECOVERY_MANAGER_H_
 
+#include <compare>
+#include <cstdint>
+#include <functional>
+#include <limits>
 #include <optional>
+#include <queue>
 #include <unordered_map>
 #include <vector>
 
@@ -213,10 +221,34 @@ class RecoveryManager {
     obs::TraceId trace = obs::kNoTrace;      // distributed trace id
   };
 
+  static constexpr SimTime kNotQueued = std::numeric_limits<SimTime>::max();
+
   struct MachineHistory {
     SimTime last_recovery_end = -1;
-    // Recent process-open times inside the flap window, oldest first.
+    // Recent process-open times inside the flap window, oldest first. Sweeps
+    // prune them lazily: read them only after PruneOpens.
     std::vector<SimTime> recent_opens;
+    // Sweeps done when recent_opens was last pruned against them.
+    std::int64_t pruned_through = 0;
+    // This entry's one live expiry_ item (seq 0: none); queued_key never
+    // exceeds ExpiryKey(), so the entry is popped no later than it is due.
+    std::uint64_t queued_seq = 0;
+    SimTime queued_key = kNotQueued;
+  };
+
+  // An expiry_ item: `machine` may be evictable at sweeps whose `now` is at
+  // least `key`. Items whose seq no longer matches the entry are stale.
+  struct ExpiryItem {
+    SimTime key = 0;
+    MachineId machine = 0;
+    std::uint64_t seq = 0;
+    friend auto operator<=>(const ExpiryItem&, const ExpiryItem&) = default;
+  };
+
+  // A sweep instant above every later one; see sweep_maxima_.
+  struct SweepMax {
+    std::int64_t sweep = 0;
+    SimTime now = 0;
   };
 
   // Clamps a possibly out-of-order timestamp against the process's last
@@ -230,8 +262,27 @@ class RecoveryManager {
   void ReportOutcome(MachineId machine, OpenProcess& process, SimTime time,
                      bool cured);
 
-  // Drops history entries older than config.history_retention.
+  // The eviction sweep, run at every 64th close with that close's `now`.
+  // Its outcome is that of pruning every entry's recent_opens at `now` and
+  // then evicting each entry with no open process, no open left inside the
+  // flap window (`<=`), and last_recovery_end strictly before
+  // now - history_retention. Only entries whose expiry_ key is due are
+  // touched: O((due + stale items) * log H) per sweep instead of O(H).
   void MaybeEvictHistory(SimTime now);
+
+  // First sweep instant at which the entry passes the retention test:
+  // last_recovery_end + history_retention + 1, saturating.
+  SimTime ExpiryKey(const MachineHistory& history) const;
+
+  // Queues `history` at ExpiryKey() unless a live item is already due no
+  // later than that.
+  void Enqueue(MachineId machine, MachineHistory& history);
+
+  // Applies the flap-window prunes of the sweeps done since the entry was
+  // last pruned. A sweep prunes every entry at its own `now`, and sweep
+  // instants are not monotone, so an open is gone once it is at or before
+  // (the largest sweep `now` since it was pruned) - flap_window.
+  void PruneOpens(MachineHistory& history) const;
 
   // Declares the in-flight action timed out: closes its span, reports the
   // failure to the policy, and advances the backoff/N-cap state.
@@ -243,6 +294,17 @@ class RecoveryManager {
   std::unordered_map<MachineId, OpenProcess> open_;
   std::unordered_map<MachineId, MachineHistory> history_;
   int closes_since_sweep_ = 0;
+  // The expiry index: a min-heap of (key, machine, seq). Every entry with
+  // no open process and a finite ExpiryKey() has a live item; an entry with
+  // an open process may not, and its close queues it.
+  std::priority_queue<ExpiryItem, std::vector<ExpiryItem>, std::greater<>>
+      expiry_;
+  std::uint64_t expiry_seq_ = 0;
+  std::int64_t sweeps_ = 0;
+  // Suffix maxima of the sweep instants: sweep numbers ascending, `now`
+  // strictly descending, so the largest `now` among the sweeps after sweep
+  // s is that of the first element whose number exceeds s.
+  std::vector<SweepMax> sweep_maxima_;
   Stats stats_;
 
   obs::Tracer* tracer_ = nullptr;

@@ -2,10 +2,14 @@
 // duplicate events, per-action timeouts with backoff, flap quarantine, and
 // bounded per-machine history. The clean-path behavior is covered by
 // recovery_manager_test.cc.
+#include <string_view>
+
 #include <gtest/gtest.h>
 
 #include "cluster/user_policy.h"
 #include "core/recovery_manager.h"
+#include "obs/observers.h"
+#include "obs/tracer.h"
 
 namespace aer {
 namespace {
@@ -320,6 +324,26 @@ TEST(RecoveryManagerRobustnessTest, RecentHistorySurvivesEviction) {
   // must still see last_recovery_end and skip the watch level.
   manager.OnSymptom(1000 + kHour, 7, "s");
   EXPECT_EQ(*manager.OnRecoveryNeeded(1001 + kHour, 7), B);
+}
+
+// A trashed policy (no GuardedPolicy in front) names an action outside
+// RepairAction. With a tracer attached the span name goes through
+// ActionName, whose range check aborts instead of reading past a table.
+class OutOfRangePolicy final : public RecoveryPolicy {
+ public:
+  RepairAction ChooseAction(const RecoveryContext&) override {
+    return static_cast<RepairAction>(17);
+  }
+  std::string_view name() const override { return "out-of-range"; }
+};
+
+TEST(RecoveryManagerRobustnessTest, TracedOutOfRangeActionAborts) {
+  OutOfRangePolicy policy;
+  obs::Tracer tracer;
+  RecoveryManager manager(policy);
+  manager.SetObservers({.tracer = &tracer});
+  manager.OnSymptom(0, 1, "s");
+  EXPECT_DEATH(manager.OnRecoveryNeeded(10, 1), "unhandled RepairAction 17");
 }
 
 }  // namespace
