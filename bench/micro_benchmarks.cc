@@ -11,7 +11,7 @@
 #include "common/string_util.h"
 #include "mining/error_type.h"
 #include "obs/metrics.h"
-#include "obs/tracer.h"
+#include "obs/trace_collector.h"
 #include "rl/qlearning.h"
 
 namespace aer::bench {
@@ -189,13 +189,24 @@ void BM_ObsRegistryLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_ObsRegistryLookup);
 
+// One span's write path: open, one symptom annotation and close, written
+// as span records the way RecoveryManager writes them.
 void BM_ObsSpanLifecycle(benchmark::State& state) {
-  obs::Tracer tracer(1024);
+  obs::TraceCollector spans({.capacity = 1024});
   SimTime now = 0;
   for (auto _ : state) {
-    const obs::SpanId span = tracer.StartSpan("recovery", now);
-    tracer.AddEvent(span, now + 1, "symptom:Watchdog");
-    tracer.EndSpan(span, now + 2);
+    const obs::SpanId span =
+        spans.Record({.time = now,
+                      .kind = obs::TraceEventKind::kProcessOpen,
+                      .detail = "Watchdog"});
+    spans.Record({.time = now + 1,
+                  .kind = obs::TraceEventKind::kAnnotation,
+                  .detail = "Watchdog",
+                  .span = span,
+                  .note = obs::SpanNote::kSymptom});
+    spans.Record({.time = now + 2,
+                  .kind = obs::TraceEventKind::kProcessClose,
+                  .span = span});
     now += 3;
   }
   state.SetItemsProcessed(state.iterations());

@@ -39,7 +39,7 @@
 #include "obs/timeseries.h"
 #include "obs/trace_collector.h"
 #include "obs/trace_dag.h"
-#include "obs/tracer.h"
+#include "obs/span_view.h"
 #include "rl/policy_diff.h"
 
 namespace {
@@ -301,7 +301,7 @@ int Diff(const Flags& flags) {
 }
 
 // Shared by `metrics` and `trace`: drives a guarded policy through scripted
-// incidents under fault injection with both observability sinks attached.
+// incidents under fault injection with the given sinks attached.
 // Fully deterministic for a given (seed, incidents, clean) triple — the
 // registry snapshot and the trace dump are byte-identical across runs
 // (docs/OBSERVABILITY.md), which is what makes the output diffable.
@@ -347,14 +347,13 @@ void RunObservedPipeline(const Flags& flags, const obs::Observers& observers) {
 // is sliced on --window (default one simulated hour), so the output shows
 // *when* the counters moved, not just their totals.
 int Timeseries(const Flags& flags) {
-  obs::Tracer tracer;
   obs::MetricsRegistry metrics;
   obs::TimeSeriesConfig config;
   config.window_width = flags.GetInt("window", kHour);
   config.capacity = static_cast<std::size_t>(flags.GetInt("capacity", 256));
   obs::TimeSeriesRecorder recorder(metrics, config);
   RunObservedPipeline(
-      flags, {.metrics = &metrics, .tracer = &tracer, .timeseries = &recorder});
+      flags, {.metrics = &metrics, .timeseries = &recorder});
   if (flags.Has("json")) {
     std::printf("%s\n", recorder.ExportJson().ToString().c_str());
   } else {
@@ -373,10 +372,9 @@ int Profile(const Flags& flags) {
   std::printf("profiling disabled (built with -DAER_PROFILING=OFF)\n");
   return 0;
 #else
-  obs::Tracer tracer;
   obs::MetricsRegistry metrics;
   ProfileRegistry::Global().Reset();
-  RunObservedPipeline(flags, {.metrics = &metrics, .tracer = &tracer});
+  RunObservedPipeline(flags, {.metrics = &metrics});
   const std::vector<ProfileEntry> entries =
       ProfileRegistry::Global().Snapshot();
   const ProfileRegistry::FormatOptions options{.include_wall =
@@ -395,9 +393,8 @@ int Profile(const Flags& flags) {
 }
 
 int Metrics(const Flags& flags) {
-  obs::Tracer tracer;
   obs::MetricsRegistry metrics;
-  RunObservedPipeline(flags, {.metrics = &metrics, .tracer = &tracer});
+  RunObservedPipeline(flags, {.metrics = &metrics});
   obs::MetricsRegistry::ExportOptions options;
   options.include_volatile = false;
   if (flags.Has("json")) {
@@ -467,24 +464,24 @@ int Trace(const Flags& flags) {
     }
     return 0;
   }
-  obs::Tracer tracer;
+  obs::TraceCollector records;
   obs::MetricsRegistry metrics;
-  RunObservedPipeline(flags, {.metrics = &metrics, .tracer = &tracer});
-  std::vector<obs::Span> spans = tracer.Snapshot();
+  RunObservedPipeline(flags, {.metrics = &metrics, .spans = &records});
+  std::vector<obs::Span> spans = obs::BuildSpans(records.Snapshot());
   if (flags.Has("type")) {
-    spans = obs::Tracer::FilterByLabel(spans, flags.Get("type", ""));
+    spans = obs::FilterByLabel(spans, flags.Get("type", ""));
   }
   if (flags.Has("top")) {
-    spans = obs::Tracer::TopSlowest(
+    spans = obs::TopSlowest(
         spans, static_cast<std::size_t>(flags.GetInt("top", 10)), "recovery");
   }
   if (flags.Has("json")) {
-    std::printf("%s\n", obs::Tracer::SpansToJson(spans).ToString().c_str());
+    std::printf("%s\n", obs::SpansToJson(spans).ToString().c_str());
   } else {
-    std::printf("%s", obs::Tracer::FormatSpans(spans).c_str());
+    std::printf("%s", obs::FormatSpans(spans).c_str());
     std::printf("%lld spans (%lld dropped by ring)\n",
                 static_cast<long long>(spans.size()),
-                static_cast<long long>(tracer.dropped_count()));
+                static_cast<long long>(records.dropped_count()));
   }
   return 0;
 }

@@ -21,7 +21,7 @@ GuardedPolicy::GuardedPolicy(RecoveryPolicy& primary,
 void GuardedPolicy::SetObservers(const obs::Observers& observers) {
   obs::MetricsRegistry* metrics = observers.metrics;
   MutexLock lock(mu_);
-  tracer_ = observers.tracer;
+  spans_ = observers.spans;
   if (metrics == nullptr) {
     obs_ = ObsMetrics{};
     return;
@@ -80,19 +80,15 @@ RepairAction GuardedPolicy::ChooseAction(const RecoveryContext& context) {
     if (faulted) {
       ++stats_.faults_absorbed;
       if (obs_.faults_absorbed) obs_.faults_absorbed->Inc();
-      if (tracer_) {
-        tracer_->Instant("guard:fault_absorbed", context.now,
-                         context.initial_symptom_name, obs::kNoSpan,
-                         context.machine);
-      }
+      obs::RecordInstant(spans_, obs::SpanNote::kGuardFaultAbsorbed,
+                         context.now, context.machine,
+                         context.initial_symptom_name);
     } else if (invalid) {
       ++stats_.invalid_actions;
       if (obs_.invalid_actions) obs_.invalid_actions->Inc();
-      if (tracer_) {
-        tracer_->Instant("guard:invalid_action", context.now,
-                         context.initial_symptom_name, obs::kNoSpan,
-                         context.machine);
-      }
+      obs::RecordInstant(spans_, obs::SpanNote::kGuardInvalidAction,
+                         context.now, context.machine,
+                         context.initial_symptom_name);
     }
     if (faulted || invalid) {
       ++stats_.fallback_decisions;
@@ -127,7 +123,7 @@ void GuardedPolicy::RecordPrimaryCompletionLocked(double downtime,
     window_.clear();
     if (obs_.breaker_trips) obs_.breaker_trips->Inc();
     if (obs_.breaker_open) obs_.breaker_open->Set(1.0);
-    if (tracer_) tracer_->Instant("breaker:trip", now);
+    obs::RecordInstant(spans_, obs::SpanNote::kBreakerTrip, now);
   }
 }
 
@@ -163,7 +159,7 @@ void GuardedPolicy::OnActionOutcome(const RecoveryContext& context,
       // Half-open: probation served; the primary gets a fresh window.
       window_.clear();
       if (obs_.breaker_open) obs_.breaker_open->Set(0.0);
-      if (tracer_) tracer_->Instant("breaker:half_open", context.now);
+      obs::RecordInstant(spans_, obs::SpanNote::kBreakerHalfOpen, context.now);
     }
     return;
   }

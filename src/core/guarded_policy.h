@@ -44,7 +44,7 @@
 #include "common/thread_annotations.h"
 #include "obs/metrics.h"
 #include "obs/observers.h"
-#include "obs/tracer.h"
+#include "obs/trace_collector.h"
 
 namespace aer {
 
@@ -68,9 +68,9 @@ class GuardedPolicy final : public RecoveryPolicy {
   GuardedPolicy(RecoveryPolicy& primary, RecoveryPolicy& fallback,
                 GuardedPolicyConfig config = {});
 
-  // Attaches the metrics and tracer sinks. Mirrors the Stats counters into
+  // Attaches the metrics and span sinks. Mirrors the Stats counters into
   // aer_guard_* metrics, keeps the aer_guard_breaker_open gauge current,
-  // and emits instant spans for fault absorption and breaker trip /
+  // and records instant spans for fault absorption and breaker trip /
   // half-open transitions.
   void SetObservers(const obs::Observers& observers);
 
@@ -120,7 +120,7 @@ class GuardedPolicy final : public RecoveryPolicy {
 
   // Guards the breaker state below. Never held across a delegate call
   // (primary_/fallback_ may be arbitrarily slow or reentrant); the sinks
-  // behind tracer_/obs_ take only their own locks, so the one-way
+  // behind spans_/obs_ take only their own locks, so the one-way
   // guard -> sink ordering cannot deadlock.
   mutable Mutex mu_;
 
@@ -138,7 +138,7 @@ class GuardedPolicy final : public RecoveryPolicy {
   int fallback_remaining_ AER_GUARDED_BY(mu_) = 0;
   Stats stats_ AER_GUARDED_BY(mu_);
 
-  obs::Tracer* tracer_ AER_GUARDED_BY(mu_) = nullptr;
+  obs::TraceCollector* spans_ AER_GUARDED_BY(mu_) = nullptr;
   // Cached metric handles (see RecoveryManager::SetObservers); all null
   // when no registry is attached.
   struct ObsMetrics {

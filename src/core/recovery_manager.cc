@@ -6,10 +6,15 @@
 
 #include "common/check.h"
 #include "common/profiler.h"
-#include "common/string_util.h"
 #include "log/action.h"
 
 namespace aer {
+namespace {
+
+using Kind = obs::TraceEventKind;
+using Note = obs::SpanNote;
+
+}  // namespace
 
 RecoveryManager::RecoveryManager(RecoveryPolicy& policy,
                                  RecoveryManagerConfig config)
@@ -23,7 +28,7 @@ RecoveryManager::RecoveryManager(RecoveryPolicy& policy,
 }
 
 void RecoveryManager::SetObservers(const obs::Observers& observers) {
-  tracer_ = observers.tracer;
+  spans_ = observers.spans;
   traces_ = observers.traces;
   obs::MetricsRegistry* metrics = observers.metrics;
   if (metrics == nullptr) {
@@ -77,7 +82,7 @@ SimTime RecoveryManager::ActionDeadline(const OpenProcess& process) const {
 
 void RecoveryManager::ReportOutcome(MachineId machine, OpenProcess& process,
                                     SimTime time, bool cured) {
-  if (process.tried.empty() || process.last_action_start < 0) return;
+  if (process.tried.empty()) return;
   RecoveryContext ctx;
   ctx.machine = machine;
   ctx.initial_symptom = process.initial_symptom;
@@ -103,7 +108,11 @@ void RecoveryManager::OnSymptom(SimTime time, MachineId machine,
     // traced symptom after adoption of an untraced snapshot) still binds.
     if (process.trace == obs::kNoTrace && trace.active()) {
       process.trace = trace.trace_id;
-      if (tracer_) tracer_->SetTraceId(process.span, process.trace);
+      if (spans_) {
+        spans_->Record({.trace_id = process.trace, .time = time,
+                        .kind = Kind::kAnnotation, .span = process.span,
+                        .note = Note::kTraceBind});
+      }
     }
     const SimTime seen = ClampTime(process, time);
     // A monitoring retransmission: same symptom at the same (clamped)
@@ -116,11 +125,10 @@ void RecoveryManager::OnSymptom(SimTime time, MachineId machine,
     process.last_symptom = id;
     process.last_symptom_time = seen;
     log_.Append(LogEntry::Symptom(seen, machine, id));
-    if (tracer_) {
-      // Stop at an embedded NUL, as a C-string label would.
-      std::string label = "symptom:";
-      label += symptom.substr(0, symptom.find('\0'));
-      tracer_->AddEvent(process.span, seen, label);
+    if (spans_) {
+      spans_->Record({.time = seen, .kind = Kind::kAnnotation,
+                      .detail = std::string(symptom), .span = process.span,
+                      .note = Note::kSymptom});
     }
     return;
   }
@@ -149,11 +157,13 @@ void RecoveryManager::OnSymptom(SimTime time, MachineId machine,
   }
 
   if (obs_.processes) obs_.processes->Inc();
-  if (tracer_) {
-    process.span = tracer_->StartSpan("recovery", time, symptom, obs::kNoSpan,
-                                      machine, process.trace);
+  if (spans_) {
+    process.span = spans_->Record({.trace_id = process.trace, .time = time,
+                                   .kind = Kind::kProcessOpen,
+                                   .machine = machine,
+                                   .detail = std::string(symptom)});
     if (process.quarantined) {
-      tracer_->AddEvent(process.span, time, "flap_quarantine");
+      Annotate(process.span, time, Note::kFlapQuarantine);
     }
   }
 
@@ -188,13 +198,13 @@ std::optional<RepairAction> RecoveryManager::OnRecoveryNeeded(
     // Flapping machines have demonstrated that their health reports cannot
     // be trusted; stop burning repair attempts and hand them to a human.
     action = RepairAction::kRma;
-    if (tracer_) tracer_->AddEvent(process.span, now, "quarantine:rma");
+    Annotate(process.span, now, Note::kQuarantineRma);
   } else if (static_cast<int>(process.tried.size()) >=
              config_.max_actions_per_process - 1) {
     action = RepairAction::kRma;
     ++stats_.manual_repairs_forced;
     if (obs_.manual_forced) obs_.manual_forced->Inc();
-    if (tracer_) tracer_->AddEvent(process.span, now, "ncap:manual_repair");
+    Annotate(process.span, now, Note::kNcapManualRepair);
   } else {
     RecoveryContext ctx;
     ctx.machine = machine;
@@ -213,12 +223,14 @@ std::optional<RepairAction> RecoveryManager::OnRecoveryNeeded(
   log_.Append(LogEntry::Action(now, machine, action));
   ++stats_.actions_taken;
   if (obs_.actions) obs_.actions->Inc();
-  if (tracer_) {
+  if (spans_) {
     // ActionName aborts on an out-of-range action from a broken policy.
-    std::string name = "action:";
-    name += ActionName(action);
-    process.action_span = tracer_->StartSpan(
-        name, now, /*label=*/{}, process.span, machine, process.trace);
+    process.action_span = spans_->Record(
+        {.trace_id = process.trace, .time = now, .kind = Kind::kAttemptOpen,
+         .machine = machine,
+         .attempt = static_cast<int>(process.tried.size()) - 1,
+         .action = ActionIndex(action),
+         .detail = std::string(ActionName(action)), .parent = process.span});
   }
   return action;
 }
@@ -241,11 +253,11 @@ void RecoveryManager::OnActionResult(SimTime time, MachineId machine,
     // Result monitoring: feed the outcome back to the policy.
     ReportOutcome(machine, process, now, healthy);
     process.action_in_flight = false;
-    if (tracer_) {
-      tracer_->AddEvent(process.action_span, now,
-                        healthy ? "result:cured" : "result:failed");
-      tracer_->EndSpan(process.action_span, now);
-      process.action_span = obs::kNoSpan;
+    if (spans_) {
+      spans_->Record({.time = now, .kind = Kind::kAttemptClose,
+                      .span = process.action_span,
+                      .note = healthy ? Note::kResultCured
+                                      : Note::kResultFailed});
     }
   } else if (!healthy) {
     // Failure report with nothing pending (late arrival after a timeout, or
@@ -269,7 +281,10 @@ void RecoveryManager::OnActionResult(SimTime time, MachineId machine,
     obs_.actions_per_process->Observe(
         static_cast<double>(process.tried.size()));
   }
-  if (tracer_) tracer_->EndSpan(process.span, now);
+  if (spans_) {
+    spans_->Record(
+        {.time = now, .kind = Kind::kProcessClose, .span = process.span});
+  }
   MachineHistory& history = history_[machine];
   history.last_recovery_end = now;
   Enqueue(machine, history);
@@ -299,26 +314,29 @@ void RecoveryManager::ExpireInFlightAction(MachineId machine,
   const SimTime deadline = ActionDeadline(process);
   ReportOutcome(machine, process, deadline, /*cured=*/false);
   if (traces_ && process.trace != obs::kNoTrace && !process.tried.empty()) {
-    obs::TraceRecord record;
-    record.trace_id = process.trace;
-    record.time = deadline;
-    record.kind = obs::TraceEventKind::kTimeout;
-    record.machine = machine;
-    record.attempt = static_cast<int>(process.tried.size()) - 1;
-    record.action = ActionIndex(process.tried.back());
-    traces_->Record(std::move(record));
+    traces_->Record({.trace_id = process.trace, .time = deadline,
+                     .kind = Kind::kTimeout, .machine = machine,
+                     .attempt = static_cast<int>(process.tried.size()) - 1,
+                     .action = ActionIndex(process.tried.back())});
   }
   process.action_in_flight = false;
   process.last_event_time = std::max(process.last_event_time, deadline);
   ++process.timeouts;
   ++stats_.actions_timed_out;
   if (obs_.timeouts) obs_.timeouts->Inc();
-  if (tracer_) {
-    tracer_->AddEvent(process.action_span, deadline, "timeout");
-    tracer_->EndSpan(process.action_span, deadline);
-    process.action_span = obs::kNoSpan;
-    tracer_->AddEvent(process.span, deadline,
-                      StrFormat("timeout:backoff=%d", process.timeouts));
+  if (spans_) {
+    spans_->Record({.time = deadline, .kind = Kind::kAttemptClose,
+                    .span = process.action_span, .note = Note::kTimeout});
+    spans_->Record({.time = deadline, .kind = Kind::kAnnotation,
+                    .attempt = process.timeouts, .span = process.span,
+                    .note = Note::kTimeoutBackoff});
+  }
+}
+
+void RecoveryManager::Annotate(obs::SpanId span, SimTime time, Note note) {
+  if (spans_) {
+    spans_->Record(
+        {.time = time, .kind = Kind::kAnnotation, .span = span, .note = note});
   }
 }
 
@@ -452,11 +470,12 @@ bool RecoveryManager::AdoptProcess(SimTime now,
   process.last_recovery_end = history_[snapshot.machine].last_recovery_end;
   ++stats_.processes_adopted;
   if (obs_.adopted) obs_.adopted->Inc();
-  if (tracer_) {
-    process.span =
-        tracer_->StartSpan("recovery", snapshot.start, snapshot.symptom,
-                           obs::kNoSpan, snapshot.machine, process.trace);
-    tracer_->AddEvent(process.span, now, "adopted");
+  if (spans_) {
+    process.span = spans_->Record(
+        {.trace_id = process.trace, .time = snapshot.start,
+         .kind = Kind::kProcessOpen, .machine = snapshot.machine,
+         .detail = snapshot.symptom});
+    Annotate(process.span, now, Note::kAdopted);
   }
   open_.emplace(snapshot.machine, std::move(process));
   return true;

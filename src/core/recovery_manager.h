@@ -45,7 +45,7 @@
 #include "obs/observers.h"
 #include "obs/trace_collector.h"
 #include "obs/trace_context.h"
-#include "obs/tracer.h"
+#include "obs/tracer.h"  // perfbench adapter below; see obs/tracer.h
 
 namespace aer {
 
@@ -99,21 +99,24 @@ class RecoveryManager {
   // `policy` must outlive the manager.
   RecoveryManager(RecoveryPolicy& policy, RecoveryManagerConfig config = {});
 
-  // Attaches the metrics, tracer and trace-collector sinks (docs/
-  // OBSERVABILITY.md "Attaching observers"). With a tracer, each recovery
-  // process gets a "recovery" span labeled with its initiating symptom,
-  // each action attempt a child "action:<name>" span, and timeout/backoff/
-  // quarantine/N-cap transitions become span events. With a registry, the
-  // Stats counters are mirrored into the aer_recovery_* metrics. With a
+  // Attaches the metrics, span and causal-trace sinks (docs/
+  // OBSERVABILITY.md "Attaching observers"). With a span sink, each
+  // recovery process writes span records for a "recovery" span labeled
+  // with its initiating symptom, each action attempt for a child
+  // "action:<name>" span, and timeout/backoff/quarantine/N-cap transitions
+  // become span annotations (obs/span_view.h). With a registry, the Stats
+  // counters are mirrored into the aer_recovery_* metrics. With a causal
   // collector, action timeouts emit trace records.
   void SetObservers(const obs::Observers& observers);
 
   // Adapters kept for perfbench/src/serve.cc, their only caller, which
   // changes only together with the benchmark; each replaces just the sinks
-  // it names. Delete both once serve.cc calls SetObservers(Observers).
+  // it names. The next benchmark change moves serve.cc to
+  // SetObservers(Observers) and deletes both, with obs/tracer.h.
   void SetObservers(  // aer-lint: allow(one-attach-point)
-      obs::Tracer* tracer, obs::MetricsRegistry* metrics) {
-    SetObservers({.metrics = metrics, .tracer = tracer, .traces = traces_});
+      obs::Tracer* spans,  // aer-lint: allow(tracer-shim)
+      obs::MetricsRegistry* metrics) {
+    SetObservers({.metrics = metrics, .spans = spans, .traces = traces_});
   }
   void SetTraceCollector(  // aer-lint: allow(one-attach-point)
       obs::TraceCollector* traces) {
@@ -200,6 +203,8 @@ class RecoveryManager {
     std::int64_t flap_quarantines = 0;  // processes opened under quarantine
     std::int64_t history_evictions = 0;
     std::int64_t processes_adopted = 0;  // takeover resumes (AdoptProcess)
+
+    friend bool operator==(const Stats&, const Stats&) = default;
   };
   const Stats& stats() const { return stats_; }
 
@@ -258,7 +263,7 @@ class RecoveryManager {
   // Deadline of the currently in-flight action.
   SimTime ActionDeadline(const OpenProcess& process) const;
 
-  // Reports the in-flight action of `process` as failed to the policy.
+  // Reports the outcome of the in-flight action of `process` to the policy.
   void ReportOutcome(MachineId machine, OpenProcess& process, SimTime time,
                      bool cured);
 
@@ -288,6 +293,9 @@ class RecoveryManager {
   // failure to the policy, and advances the backoff/N-cap state.
   void ExpireInFlightAction(MachineId machine, OpenProcess& process);
 
+  // Appends a span annotation to the span sink, if one is attached.
+  void Annotate(obs::SpanId span, SimTime time, obs::SpanNote note);
+
   RecoveryPolicy& policy_;
   RecoveryManagerConfig config_;
   RecoveryLog log_;
@@ -307,7 +315,7 @@ class RecoveryManager {
   std::vector<SweepMax> sweep_maxima_;
   Stats stats_;
 
-  obs::Tracer* tracer_ = nullptr;
+  obs::TraceCollector* spans_ = nullptr;
   obs::TraceCollector* traces_ = nullptr;
   // Cached metric handles (resolved once in SetObservers) so the hot path
   // never takes the registry lock; all null when no registry is attached.

@@ -66,12 +66,10 @@ void Coordinator::CheckBecameLeaderLocked(SimTime now,
   ++stats_.leases_acquired;
   if (obs_.leases_acquired) obs_.leases_acquired->Inc();
   if (traces_) {
-    obs::TraceRecord record;
-    record.time = now;
-    record.kind = obs::TraceEventKind::kLeaderElected;
-    record.node = self_;
-    record.epoch = lease_.holding_epoch();
-    traces_->Record(std::move(record));
+    traces_->Record({.time = now,
+                     .kind = obs::TraceEventKind::kLeaderElected,
+                     .node = self_,
+                     .epoch = lease_.holding_epoch()});
   }
   const std::vector<MachineId> adopted = service_.AdoptReplica(now);
   if (!adopted.empty()) {
@@ -83,14 +81,12 @@ void Coordinator::CheckBecameLeaderLocked(SimTime now,
     }
     if (traces_) {
       for (const MachineId machine : adopted) {
-        obs::TraceRecord record;
-        record.trace_id = service_.manager().TraceOf(machine);
-        record.time = now;
-        record.kind = obs::TraceEventKind::kAdopt;
-        record.machine = machine;
-        record.node = self_;
-        record.epoch = lease_.holding_epoch();
-        traces_->Record(std::move(record));
+        traces_->Record({.trace_id = service_.manager().TraceOf(machine),
+                         .time = now,
+                         .kind = obs::TraceEventKind::kAdopt,
+                         .machine = machine,
+                         .node = self_,
+                         .epoch = lease_.holding_epoch()});
       }
     }
   }
@@ -108,12 +104,10 @@ void Coordinator::CheckSteppedDownLocked(SimTime now) {
   ++stats_.stepdowns;
   if (obs_.stepdowns) obs_.stepdowns->Inc();
   if (traces_) {
-    obs::TraceRecord record;
-    record.time = now;
-    record.kind = obs::TraceEventKind::kLeaderLost;
-    record.node = self_;
-    record.epoch = lease_.max_seen_epoch();
-    traces_->Record(std::move(record));
+    traces_->Record({.time = now,
+                     .kind = obs::TraceEventKind::kLeaderLost,
+                     .node = self_,
+                     .epoch = lease_.max_seen_epoch()});
   }
 }
 

@@ -21,6 +21,19 @@ void AddStats(Coordinator::Stats& into, const Coordinator::Stats& from) {
   into.stale_results_dropped += from.stale_results_dropped;
 }
 
+// Records one hop of `dispatch` on the causal trace, if `traces` is set.
+void TraceHop(obs::TraceCollector* traces, const ActionDispatch& dispatch,
+              SimTime time, obs::TraceEventKind kind, bool duplicate = false,
+              std::string detail = {}) {
+  if (traces == nullptr) return;
+  traces->Record({.trace_id = dispatch.trace, .time = time, .kind = kind,
+                  .machine = dispatch.machine, .node = dispatch.issuer,
+                  .attempt = dispatch.attempt,
+                  .action = ActionIndex(dispatch.action),
+                  .epoch = dispatch.epoch, .duplicate = duplicate,
+                  .detail = std::move(detail)});
+}
+
 }  // namespace
 
 struct ControlPlaneHarness::Event {
@@ -106,11 +119,9 @@ void ControlPlaneHarness::ApplyTransitions(SimTime now) {
         coordinator.reset();
       }
       if (observers_.traces) {
-        obs::TraceRecord record;
-        record.time = transition.at;
-        record.kind = obs::TraceEventKind::kNodeCrash;
-        record.node = transition.node;
-        observers_.traces->Record(std::move(record));
+        observers_.traces->Record({.time = transition.at,
+                                   .kind = obs::TraceEventKind::kNodeCrash,
+                                   .node = transition.node});
       }
     } else if (transition.kind == NetTransition::Kind::kRestart) {
       auto& coordinator =
@@ -121,11 +132,9 @@ void ControlPlaneHarness::ApplyTransitions(SimTime now) {
           durable_[static_cast<std::size_t>(transition.node)]);
       coordinator->SetObservers(observers_);
       if (observers_.traces) {
-        obs::TraceRecord record;
-        record.time = transition.at;
-        record.kind = obs::TraceEventKind::kNodeRestart;
-        record.node = transition.node;
-        observers_.traces->Record(std::move(record));
+        observers_.traces->Record({.time = transition.at,
+                                   .kind = obs::TraceEventKind::kNodeRestart,
+                                   .node = transition.node});
       }
     }
     // Partition start/heal is routing state the perturber already applied.
@@ -231,18 +240,8 @@ ControlHarnessResult ControlPlaneHarness::Run(
       record.machine = dispatch.machine;
       record.action = ActionIndex(dispatch.action);
       result.dispatch_log.push_back(record);
-      if (observers_.traces) {
-        obs::TraceRecord trace;
-        trace.trace_id = dispatch.trace;
-        trace.time = now;
-        trace.kind = obs::TraceEventKind::kDispatch;
-        trace.machine = dispatch.machine;
-        trace.node = dispatch.issuer;
-        trace.attempt = dispatch.attempt;
-        trace.action = ActionIndex(dispatch.action);
-        trace.epoch = dispatch.epoch;
-        observers_.traces->Record(std::move(trace));
-      }
+      TraceHop(observers_.traces, dispatch, now,
+               obs::TraceEventKind::kDispatch);
       const NetPerturber::Routing routing = net_.RouteMachineHop(
           now, config_.net_latency + extra_delay);
       if (routing.deliver) {
@@ -254,19 +253,9 @@ ControlHarnessResult ControlPlaneHarness::Run(
       } else {
         // Lost on the machine network: the issuer's timeout machinery (or
         // the re-emit chain) retries. The trace keeps the orphan edge.
-        if (observers_.traces) {
-          obs::TraceRecord trace;
-          trace.trace_id = dispatch.trace;
-          trace.time = now;
-          trace.kind = obs::TraceEventKind::kDispatchDrop;
-          trace.machine = dispatch.machine;
-          trace.node = dispatch.issuer;
-          trace.attempt = dispatch.attempt;
-          trace.action = ActionIndex(dispatch.action);
-          trace.epoch = dispatch.epoch;
-          trace.detail = "dropped";
-          observers_.traces->Record(std::move(trace));
-        }
+        TraceHop(observers_.traces, dispatch, now,
+                 obs::TraceEventKind::kDispatchDrop, /*duplicate=*/false,
+                 "dropped");
       }
       if (routing.duplicated) {
         Event e;
@@ -343,14 +332,11 @@ ControlHarnessResult ControlPlaneHarness::Run(
                                            machine.episodes);
         }
         if (observers_.traces) {
-          obs::TraceRecord trace;
-          trace.trace_id = machine.trace;
-          trace.time = event.time;
-          trace.kind = obs::TraceEventKind::kIncident;
-          trace.machine = event.machine;
-          trace.duplicate = !fresh;
-          trace.detail = event.symptom;
-          observers_.traces->Record(std::move(trace));
+          observers_.traces->Record(
+              {.trace_id = machine.trace, .time = event.time,
+               .kind = obs::TraceEventKind::kIncident,
+               .machine = event.machine, .duplicate = !fresh,
+               .detail = event.symptom});
         }
         Event reemit;
         reemit.kind = Event::Kind::kReemit;
@@ -398,14 +384,11 @@ ControlHarnessResult ControlPlaneHarness::Run(
         // receive the same broadcast but gate it, and recording theirs
         // would make the trace stream depend on the cluster size.
         if (observers_.traces && coordinators_[node]->IsLeader(event.time)) {
-          obs::TraceRecord trace;
-          trace.trace_id = machine.trace;
-          trace.time = event.time;
-          trace.kind = obs::TraceEventKind::kSymptom;
-          trace.machine = event.machine;
-          trace.node = event.node;
-          trace.detail = machine.symptom;
-          observers_.traces->Record(std::move(trace));
+          observers_.traces->Record(
+              {.trace_id = machine.trace, .time = event.time,
+               .kind = obs::TraceEventKind::kSymptom,
+               .machine = event.machine, .node = event.node,
+               .detail = machine.symptom});
         }
         process_output(event.time,
                        coordinators_[node]->OnSymptom(
@@ -445,22 +428,10 @@ ControlHarnessResult ControlPlaneHarness::Run(
       }
       case Event::Kind::kDispatchDeliver: {
         const ActionDispatch& dispatch = event.dispatch;
-        const auto trace_hop = [this, &event, &dispatch](
-                                   obs::TraceEventKind kind,
+        const auto trace_hop = [&](obs::TraceEventKind kind,
                                    std::string detail) {
-          if (!observers_.traces) return;
-          obs::TraceRecord trace;
-          trace.trace_id = dispatch.trace;
-          trace.time = event.time;
-          trace.kind = kind;
-          trace.machine = dispatch.machine;
-          trace.node = dispatch.issuer;
-          trace.attempt = dispatch.attempt;
-          trace.action = ActionIndex(dispatch.action);
-          trace.epoch = dispatch.epoch;
-          trace.duplicate = event.duplicate;
-          trace.detail = std::move(detail);
-          observers_.traces->Record(std::move(trace));
+          TraceHop(observers_.traces, dispatch, event.time, kind,
+                   event.duplicate, std::move(detail));
         };
         if (!fence_.Admit(dispatch.machine, dispatch.epoch)) {
           auditor_.OnStaleRejected(event.time, dispatch.machine,
@@ -503,22 +474,10 @@ ControlHarnessResult ControlPlaneHarness::Run(
                            dispatch.action == RepairAction::kRma ||
                            ActionStrength(dispatch.action) >=
                                machine.cure_strength;
-        const auto trace_hop = [this, &event, &dispatch](
-                                   obs::TraceEventKind kind,
+        const auto trace_hop = [&](obs::TraceEventKind kind,
                                    std::string detail) {
-          if (!observers_.traces) return;
-          obs::TraceRecord trace;
-          trace.trace_id = dispatch.trace;
-          trace.time = event.time;
-          trace.kind = kind;
-          trace.machine = dispatch.machine;
-          trace.node = dispatch.issuer;
-          trace.attempt = dispatch.attempt;
-          trace.action = ActionIndex(dispatch.action);
-          trace.epoch = dispatch.epoch;
-          trace.duplicate = event.duplicate;
-          trace.detail = std::move(detail);
-          observers_.traces->Record(std::move(trace));
+          TraceHop(observers_.traces, dispatch, event.time, kind,
+                   event.duplicate, std::move(detail));
         };
         trace_hop(obs::TraceEventKind::kActionDone, cured ? "cured" : "sick");
         if (cured && machine.sick) {
@@ -557,22 +516,10 @@ ControlHarnessResult ControlPlaneHarness::Run(
       case Event::Kind::kResultDeliver: {
         const NodeId issuer = event.dispatch.issuer;
         const auto node = static_cast<std::size_t>(issuer);
-        const auto trace_hop = [this, &event, issuer](
-                                   obs::TraceEventKind kind,
+        const auto trace_hop = [&](obs::TraceEventKind kind,
                                    std::string detail) {
-          if (!observers_.traces) return;
-          obs::TraceRecord trace;
-          trace.trace_id = event.dispatch.trace;
-          trace.time = event.time;
-          trace.kind = kind;
-          trace.machine = event.dispatch.machine;
-          trace.node = issuer;
-          trace.attempt = event.dispatch.attempt;
-          trace.action = ActionIndex(event.dispatch.action);
-          trace.epoch = event.dispatch.epoch;
-          trace.duplicate = event.duplicate;
-          trace.detail = std::move(detail);
-          observers_.traces->Record(std::move(trace));
+          TraceHop(observers_.traces, event.dispatch, event.time, kind,
+                   event.duplicate, std::move(detail));
         };
         if (!net_.NodeUp(issuer) || !coordinators_[node]) {
           // The issuer died (or was replaced by a restart): the result is

@@ -99,15 +99,9 @@ class EngineCore {
     const obs::TraceId id =
         obs::MakeTraceId(cfg_.seed, m, st_.process_seq(m));
     if (!traces_->Sampled(id)) return;
-    obs::TraceRecord record;
-    record.trace_id = id;
-    record.time = time;
-    record.kind = kind;
-    record.machine = m;
-    record.attempt = attempt;
-    record.action = action;
-    record.detail = std::move(detail);
-    out_.trace.push_back(std::move(record));
+    out_.trace.push_back({.trace_id = id, .time = time, .kind = kind,
+                          .machine = m, .attempt = attempt, .action = action,
+                          .detail = std::move(detail)});
   }
 
   void Push(SimTime time, FleetEventKind kind, MachineId machine,

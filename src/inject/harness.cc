@@ -67,7 +67,7 @@ InjectionHarness::InjectionHarness(RecoveryPolicy& policy,
 }
 
 void InjectionHarness::SetObservers(const obs::Observers& observers) {
-  tracer_ = observers.tracer;
+  spans_ = observers.spans;
   timeseries_ = observers.timeseries;
   manager_.SetObservers(observers);
   obs::MetricsRegistry* metrics = observers.metrics;
@@ -122,7 +122,8 @@ HarnessResult InjectionHarness::Run(
     if (rng.NextBool(config_.drop_event)) {
       ++result.events_dropped;
       if (obs_.dropped) obs_.dropped->Inc();
-      if (tracer_) tracer_->Instant("inject:drop", now, symptom, obs::kNoSpan, machine);
+      obs::RecordInstant(spans_, obs::SpanNote::kInjectDrop, now, machine,
+                         symptom);
       return;
     }
     Event e;
@@ -135,14 +136,16 @@ HarnessResult InjectionHarness::Run(
           static_cast<std::int64_t>(result.events_processed);
       ++result.events_delayed;
       if (obs_.delayed) obs_.delayed->Inc();
-      if (tracer_) tracer_->Instant("inject:delay", now, symptom, obs::kNoSpan, machine);
+      obs::RecordInstant(spans_, obs::SpanNote::kInjectDelay, now, machine,
+                         symptom);
     }
     push(e);
     if (rng.NextBool(config_.duplicate_event)) {
       push(e);
       ++result.events_duplicated;
       if (obs_.duplicated) obs_.duplicated->Inc();
-      if (tracer_) tracer_->Instant("inject:duplicate", now, symptom, obs::kNoSpan, machine);
+      obs::RecordInstant(spans_, obs::SpanNote::kInjectDuplicate, now,
+                         machine, symptom);
     }
   };
 
@@ -158,10 +161,8 @@ HarnessResult InjectionHarness::Run(
     if (action != RepairAction::kRma && rng.NextBool(config_.hang_action)) {
       ++result.hangs_injected;
       if (obs_.hangs) obs_.hangs->Inc();
-      if (tracer_) {
-        tracer_->Instant("inject:hang", now, state.symptom, obs::kNoSpan,
-                         machine);
-      }
+      obs::RecordInstant(spans_, obs::SpanNote::kInjectHang, now, machine,
+                         state.symptom);
       return;  // no result event: only PollTimeouts can unstick this
     }
     Event e;
@@ -177,10 +178,8 @@ HarnessResult InjectionHarness::Run(
       e.report_healthy = true;  // lies: machine is still sick
       ++result.false_successes_injected;
       if (obs_.false_successes) obs_.false_successes->Inc();
-      if (tracer_) {
-        tracer_->Instant("inject:false_success", e.time, state.symptom,
-                         obs::kNoSpan, machine);
-      }
+      obs::RecordInstant(spans_, obs::SpanNote::kInjectFalseSuccess, e.time,
+                         machine, state.symptom);
     }
     push(e);
   };
@@ -224,10 +223,8 @@ HarnessResult InjectionHarness::Run(
         state.sick = true;
         state.symptom = event.symptom;
         if (obs_.incidents) obs_.incidents->Inc();
-        if (tracer_) {
-          tracer_->Instant("inject:incident", event.time, event.symptom,
-                           obs::kNoSpan, event.machine);
-        }
+        obs::RecordInstant(spans_, obs::SpanNote::kInjectIncident, event.time,
+                           event.machine, event.symptom);
         // Overlapping incidents on one machine: the harder fault wins.
         state.cure_strength =
             std::max(state.cure_strength, event.cure_strength);

@@ -23,6 +23,7 @@
 #include "core/recovery_manager.h"
 #include "obs/observers.h"
 #include "obs/timeseries.h"
+#include "obs/trace_collector.h"
 
 namespace aer {
 
@@ -103,10 +104,10 @@ class InjectionHarness {
                    RecoveryManagerConfig manager_config,
                    HarnessConfig config);
 
-  // Attaches the metrics, tracer and time-series sinks and forwards the
-  // same value to the wrapped RecoveryManager, so traces show the injected
-  // fault (instant "inject:*" spans) alongside the recovery spans it
-  // perturbs. Injection counts mirror into aer_inject_*. Run() advances the
+  // Attaches the metrics, span and time-series sinks and forwards the
+  // same value to the wrapped RecoveryManager, so span dumps show the
+  // injected fault (instant "inject:*" spans) alongside the recovery spans
+  // it perturbs. Injection counts mirror into aer_inject_*. Run() advances the
   // time-series recorder to each event's sim time before processing the
   // event and finishes it at the final event time, so window deltas line up
   // with sim-time boundaries.
@@ -134,7 +135,7 @@ class InjectionHarness {
   RecoveryManager manager_;
   std::unordered_map<MachineId, MachineState> machines_;
 
-  obs::Tracer* tracer_ = nullptr;
+  obs::TraceCollector* spans_ = nullptr;
   obs::TimeSeriesRecorder* timeseries_ = nullptr;
   // Cached metric handles (see RecoveryManager::SetObservers); all null
   // when no registry is attached.

@@ -10,6 +10,7 @@
 #include "common/json_writer.h"
 #include "common/mutex.h"
 #include "common/profiler.h"
+#include "obs/span_view.h"
 #include "obs/trace_dag.h"
 
 namespace aer::obs {
@@ -63,6 +64,12 @@ Installed* g_retired = nullptr;
 // CHECK + abort) must not recurse.
 std::atomic<bool> g_dumped{false};
 
+template <typename T>
+void KeepNewest(std::vector<T>& items, std::size_t n) {
+  if (items.size() <= n) return;
+  items.erase(items.begin(), items.end() - static_cast<std::ptrdiff_t>(n));
+}
+
 bool WriteDump(const Installed& state, std::string_view reason,
                std::string_view detail) {
   const Observers& sources = state.sources;
@@ -71,19 +78,15 @@ bool WriteDump(const Installed& state, std::string_view reason,
   root.Set("detail", JsonValue::String(detail));
 
   JsonValue spans_section = JsonValue::Object();
-  if (sources.tracer != nullptr) {
-    std::vector<Span> spans = sources.tracer->Snapshot();
-    if (spans.size() > state.config.max_spans) {
-      spans.erase(spans.begin(),
-                  spans.end() - static_cast<std::ptrdiff_t>(
-                                    state.config.max_spans));
-    }
+  if (sources.spans != nullptr) {
+    std::size_t open = 0;
+    std::vector<Span> spans = BuildSpans(sources.spans->Snapshot(), &open);
+    KeepNewest(spans, state.config.max_spans);
     spans_section.Set("dropped",
-                      JsonValue::Int(sources.tracer->dropped_count()));
-    spans_section.Set(
-        "open", JsonValue::Int(
-                    static_cast<std::int64_t>(sources.tracer->open_count())));
-    spans_section.Set("spans", Tracer::SpansToJson(spans));
+                      JsonValue::Int(sources.spans->dropped_count()));
+    spans_section.Set("open",
+                      JsonValue::Int(static_cast<std::int64_t>(open)));
+    spans_section.Set("spans", SpansToJson(spans));
   }
   root.Set("spans", std::move(spans_section));
 
@@ -118,11 +121,7 @@ bool WriteDump(const Installed& state, std::string_view reason,
     // The stitched DAG of the most recent recovery processes; spans above
     // carry matching trace ids, so the dump is filterable by trace.
     std::vector<TraceRecord> records = sources.traces->Snapshot();
-    if (records.size() > state.config.max_trace_records) {
-      records.erase(records.begin(),
-                    records.end() - static_cast<std::ptrdiff_t>(
-                                        state.config.max_trace_records));
-    }
+    KeepNewest(records, state.config.max_trace_records);
     root.Set("trace_dag", TraceDagToJson(BuildTraceDag(records)));
   }
 

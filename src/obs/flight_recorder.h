@@ -9,7 +9,7 @@
 // right before it fell over" without a debugger or a re-run.
 //
 // Honesty about signal safety: the dump path allocates and takes the
-// tracer/registry mutexes, which is not async-signal-safe. That is the
+// collector/registry mutexes, which is not async-signal-safe. That is the
 // standard flight-recorder trade-off — a crash *inside* those locks may
 // hang or re-fault instead of dumping, and the reentrancy guard plus the
 // re-raised signal make sure the process still terminates. Dumps are
@@ -29,7 +29,6 @@
 #include "obs/observers.h"
 #include "obs/timeseries.h"
 #include "obs/trace_collector.h"
-#include "obs/tracer.h"
 
 namespace aer::obs {
 

@@ -1,6 +1,7 @@
 #include "obs/trace_collector.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "common/check.h"
@@ -8,28 +9,32 @@
 
 namespace aer::obs {
 
+namespace {
+
+// Indexed by TraceEventKind.
+constexpr std::string_view kKindNames[] = {
+    "incident", "symptom", "dispatch", "dispatch_drop", "fence_reject",
+    "busy_drop", "action_start", "action_done", "cure", "result_deliver",
+    "result_lost", "timeout", "adopt", "message_drop", "leader_elected",
+    "leader_lost", "node_crash", "node_restart", "process_open",
+    "process_close", "attempt_open", "attempt_close", "annotation",
+    "instant"};
+static_assert(std::size(kKindNames) ==
+              static_cast<std::size_t>(TraceEventKind::kInstant) + 1);
+
+}  // namespace
+
 std::string_view TraceEventKindName(TraceEventKind kind) {
-  switch (kind) {
-    case TraceEventKind::kIncident: return "incident";
-    case TraceEventKind::kSymptom: return "symptom";
-    case TraceEventKind::kDispatch: return "dispatch";
-    case TraceEventKind::kDispatchDrop: return "dispatch_drop";
-    case TraceEventKind::kFenceReject: return "fence_reject";
-    case TraceEventKind::kBusyDrop: return "busy_drop";
-    case TraceEventKind::kActionStart: return "action_start";
-    case TraceEventKind::kActionDone: return "action_done";
-    case TraceEventKind::kCure: return "cure";
-    case TraceEventKind::kResultDeliver: return "result_deliver";
-    case TraceEventKind::kResultLost: return "result_lost";
-    case TraceEventKind::kTimeout: return "timeout";
-    case TraceEventKind::kAdopt: return "adopt";
-    case TraceEventKind::kMessageDrop: return "message_drop";
-    case TraceEventKind::kLeaderElected: return "leader_elected";
-    case TraceEventKind::kLeaderLost: return "leader_lost";
-    case TraceEventKind::kNodeCrash: return "node_crash";
-    case TraceEventKind::kNodeRestart: return "node_restart";
-  }
-  return "unknown";
+  const auto index = static_cast<std::size_t>(kind);
+  return index < std::size(kKindNames) ? kKindNames[index] : "unknown";
+}
+
+void RecordInstant(TraceCollector* spans, SpanNote note, SimTime time,
+                   std::int64_t machine, std::string_view label) {
+  if (spans == nullptr) return;
+  spans->Record({.time = time, .kind = TraceEventKind::kInstant,
+                 .machine = machine, .detail = std::string(label),
+                 .note = note});
 }
 
 TraceCollector::TraceCollector(TraceCollectorConfig config)
@@ -51,11 +56,11 @@ bool TraceCollector::Sampled(TraceId id) const {
   return id == kNoTrace || SampleTrace(id, config_.sample_probability);
 }
 
-void TraceCollector::AddLocked(TraceRecord record) {
+bool TraceCollector::AddLocked(TraceRecord record) {
   if (!Sampled(record.trace_id)) {
     ++dropped_;
     if (dropped_metric_) dropped_metric_->Inc();
-    return;
+    return false;
   }
   record.seq = next_seq_++;
   ring_.push_back(std::move(record));
@@ -66,11 +71,17 @@ void TraceCollector::AddLocked(TraceRecord record) {
     ++dropped_;
     if (dropped_metric_) dropped_metric_->Inc();
   }
+  return true;
 }
 
-void TraceCollector::Record(TraceRecord record) {
+SpanId TraceCollector::Record(TraceRecord record) {
+  const bool opens = record.kind == TraceEventKind::kProcessOpen ||
+                     record.kind == TraceEventKind::kAttemptOpen ||
+                     record.kind == TraceEventKind::kInstant;
   MutexLock lock(mu_);
-  AddLocked(std::move(record));
+  if (opens) record.span = next_span_;
+  if (!AddLocked(std::move(record)) || !opens) return kNoSpan;
+  return next_span_++;
 }
 
 void TraceCollector::MergeShards(std::vector<std::vector<TraceRecord>> shards) {

@@ -10,7 +10,8 @@
 // Records are flat events, not spans: the DAG structure (parent edges,
 // orphan annotations) is recomputed deterministically by trace_dag.h from
 // the record stream, which keeps the wire/storage format trivial and makes
-// the merge order-insensitive.
+// the merge order-insensitive. Spans are a view too: span records go to a
+// collector of their own, and span_view.h folds its snapshot into spans.
 //
 // Sampling: deterministic hash-based head sampling (SampleTrace). The keep
 // decision depends only on the trace id, so every participant in a recovery
@@ -58,9 +59,39 @@ enum class TraceEventKind : int {
   kLeaderLost = 15,     // global: leaseholder stepped down
   kNodeCrash = 16,      // global: coordinator crashed
   kNodeRestart = 17,    // global: coordinator restarted
+  // Span vocabulary (obs/span_view.h). Never written to the causal sink.
+  kProcessOpen = 18,   // recovery process opened: a "recovery" span
+  kProcessClose = 19,  // recovery process closed
+  kAttemptOpen = 20,   // action attempt issued: an "action:<NAME>" span
+  kAttemptClose = 21,  // attempt settled; `note` says how
+  kAnnotation = 22,    // timestamped event on an open span
+  kInstant = 23,       // zero-duration span, closed as it opens
 };
 
 std::string_view TraceEventKindName(TraceEventKind kind);
+
+// Span ids: assigned by the collector to each record that opens a span.
+using SpanId = std::int64_t;  // 0 = no span / no parent
+inline constexpr SpanId kNoSpan = 0;
+
+// The fixed text of a span record, rendered by span_view.cc. Values are
+// the wire encoding: append-only, never renumber (docs/OBSERVABILITY.md
+// "Spans").
+enum class SpanNote : int {
+  kNone = 0,
+  // Annotations: "symptom:<detail>", "flap_quarantine", "quarantine:rma",
+  // "ncap:manual_repair", "timeout:backoff=<attempt>", "adopted"; a trace
+  // bind adds no event and tags the span with the record's trace_id.
+  kSymptom = 1, kFlapQuarantine = 2, kQuarantineRma = 3,
+  kNcapManualRepair = 4, kTimeoutBackoff = 5, kAdopted = 6, kTraceBind = 7,
+  // Attempt closes: "result:cured", "result:failed", "timeout".
+  kResultCured = 8, kResultFailed = 9, kTimeout = 10,
+  // Instant names: "inject:incident" .. "breaker:half_open".
+  kInjectIncident = 11, kInjectDrop = 12, kInjectDelay = 13,
+  kInjectDuplicate = 14, kInjectHang = 15, kInjectFalseSuccess = 16,
+  kGuardFaultAbsorbed = 17, kGuardInvalidAction = 18,
+  kBreakerTrip = 19, kBreakerHalfOpen = 20,
+};
 
 // One causal event. Records with trace_id == kNoTrace are global control
 // events (leadership, node lifecycle) that the critical-path analyzer
@@ -71,11 +102,18 @@ struct TraceRecord {
   TraceEventKind kind = TraceEventKind::kIncident;
   std::int64_t machine = -1;  // afflicted machine, -1 for global events
   int node = -1;              // coordinator involved, -1 if none
-  int attempt = -1;           // 0-based action attempt index, -1 if n/a
+  int attempt = -1;           // 0-based action attempt index, -1 if n/a;
+                              // on kTimeoutBackoff, the process's timeouts
   int action = -1;            // RepairAction index, -1 if n/a
   std::uint64_t epoch = 0;    // fencing epoch carried by the hop, 0 if n/a
   bool duplicate = false;     // hop produced by network duplication
-  std::string detail;         // free-form annotation (symptom name, ...)
+  std::string detail = {};    // free-form annotation (symptom name, ...)
+  // Span records only: the span this record opens (assigned by the
+  // collector), annotates or closes; the parent an opened span hangs
+  // under; and the record's fixed text.
+  SpanId span = kNoSpan;
+  SpanId parent = kNoSpan;
+  SpanNote note = SpanNote::kNone;
   // Arrival order within the collector; breaks (time, machine) ties in the
   // shard merge. Assigned by the collector, not callers.
   std::uint64_t seq = 0;
@@ -107,8 +145,11 @@ class TraceCollector {
   bool Sampled(TraceId id) const;
 
   // Appends one record (applying sampling and the ring bound). The
-  // collector assigns record.seq.
-  void Record(TraceRecord record);
+  // collector assigns record.seq and, to a kept record that opens a span
+  // (kProcessOpen, kAttemptOpen, kInstant), record.span: span ids run
+  // densely from 1 in open order and survive the eviction of older
+  // records. Returns that span id, kNoSpan for any other record.
+  SpanId Record(TraceRecord record);
 
   // Merges per-shard record streams: concatenation in shard order, then a
   // stable sort by (time, machine) — byte-identical for any shard-to-thread
@@ -124,7 +165,8 @@ class TraceCollector {
   const TraceCollectorConfig& config() const { return config_; }
 
  private:
-  void AddLocked(TraceRecord record) AER_REQUIRES(mu_);
+  // False if sampling dropped the record.
+  bool AddLocked(TraceRecord record) AER_REQUIRES(mu_);
 
   const TraceCollectorConfig config_;
   // Set once before recording starts; read without the lock (counters are
@@ -135,9 +177,14 @@ class TraceCollector {
   mutable Mutex mu_;
   std::deque<TraceRecord> ring_ AER_GUARDED_BY(mu_);
   std::uint64_t next_seq_ AER_GUARDED_BY(mu_) = 1;
+  SpanId next_span_ AER_GUARDED_BY(mu_) = 1;
   std::int64_t recorded_ AER_GUARDED_BY(mu_) = 0;
   std::int64_t dropped_ AER_GUARDED_BY(mu_) = 0;
 };
+
+// Appends an instant span record (`note` names it) to `spans`, if non-null.
+void RecordInstant(TraceCollector* spans, SpanNote note, SimTime time,
+                   std::int64_t machine = -1, std::string_view label = {});
 
 }  // namespace aer::obs
 

@@ -5,8 +5,8 @@
 // open inside the flap window and no open process. EagerHistory below is
 // that definition, swept over the whole history exactly as written, and the
 // differential test replays seeded streams of more than 10k machines through
-// both, comparing after every call. The metamorphic test relabels machine
-// ids and checks that nothing observable moves.
+// both, comparing after every call. The metamorphic tests relabel machine
+// ids and shift every time, and check that nothing observable moves.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,10 +15,13 @@
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/recovery_manager.h"
+#include "obs/span_view.h"
+#include "obs/trace_collector.h"
 
 namespace aer {
 namespace {
@@ -511,10 +514,15 @@ struct Observation {
   friend bool operator==(const Observation&, const Observation&) = default;
 };
 
+// With `spans`, the manager also writes span records there; with `stats`,
+// its final Stats land there.
 std::vector<Observation> Observe(const StreamSpec& spec,
-                                 const std::vector<Call>& calls) {
+                                 const std::vector<Call>& calls,
+                                 obs::TraceCollector* spans = nullptr,
+                                 RecoveryManager::Stats* stats = nullptr) {
   HistoryProbePolicy policy;
   RecoveryManager manager(policy, spec.config);
+  manager.SetObservers({.spans = spans});
   std::vector<Observation> observed;
   observed.reserve(calls.size());
   for (const Call& call : calls) {
@@ -524,6 +532,7 @@ std::vector<Observation> Observe(const StreamSpec& spec,
                         manager.stats().history_evictions,
                         manager.IsQuarantined(call.machine)});
   }
+  if (stats != nullptr) *stats = manager.stats();
   return observed;
 }
 
@@ -545,6 +554,46 @@ TEST(HistoryEvictionTest, RelabelingMachinesChangesNothing) {
     const std::vector<Observation> original = Observe(spec, calls);
     EXPECT_GT(original.back().evictions, 1000);
     EXPECT_TRUE(original == Observe(spec, relabeled));
+  }
+}
+
+// Sim time has no origin: shifting every call of the six seeded streams by
+// c leaves every decision, every Stats counter (evictions included) and
+// every quarantine flag alone, and moves every span of the derived view by
+// exactly c.
+TEST(HistoryEvictionTest, ShiftingTimeChangesNothing) {
+  constexpr SimTime kShift = 1'000'007;
+  const std::pair<StreamSpec, std::uint64_t> streams[] = {
+      {InOrderSpec(), 101},        {ServedSpec(), 202},
+      {OutOfOrderSpec(), 303},     {FlapThresholdSpec(), 404},
+      {WideFlapWindowSpec(), 505}, {AdoptSpec(), 606}};
+  for (const auto& [spec, seed] : streams) {
+    SCOPED_TRACE("stream seed " + std::to_string(seed));
+    const std::vector<Call> calls = MakeStream(spec, seed);
+    std::vector<Call> shifted = calls;
+    for (Call& call : shifted) {
+      call.time += kShift;
+      call.snapshot_watermark += kShift;
+    }
+    obs::TraceCollector spans;
+    obs::TraceCollector shifted_spans;
+    RecoveryManager::Stats stats;
+    RecoveryManager::Stats shifted_stats;
+    const std::vector<Observation> original =
+        Observe(spec, calls, &spans, &stats);
+    EXPECT_GT(original.back().evictions, 1000);
+    EXPECT_TRUE(original ==
+                Observe(spec, shifted, &shifted_spans, &shifted_stats));
+    EXPECT_TRUE(stats == shifted_stats);
+
+    std::vector<obs::Span> expected = obs::BuildSpans(spans.Snapshot());
+    ASSERT_FALSE(expected.empty());
+    for (obs::Span& span : expected) {
+      span.start += kShift;
+      span.end += kShift;
+      for (obs::SpanEvent& event : span.events) event.time += kShift;
+    }
+    EXPECT_TRUE(expected == obs::BuildSpans(shifted_spans.Snapshot()));
   }
 }
 

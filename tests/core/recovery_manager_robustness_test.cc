@@ -3,13 +3,14 @@
 // bounded per-machine history. The clean-path behavior is covered by
 // recovery_manager_test.cc.
 #include <string_view>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "cluster/user_policy.h"
 #include "core/recovery_manager.h"
 #include "obs/observers.h"
-#include "obs/tracer.h"
+#include "obs/trace_collector.h"
 
 namespace aer {
 namespace {
@@ -326,9 +327,52 @@ TEST(RecoveryManagerRobustnessTest, RecentHistorySurvivesEviction) {
   EXPECT_EQ(*manager.OnRecoveryNeeded(1001 + kHour, 7), B);
 }
 
+// Records every outcome the manager reports back.
+class OutcomeProbePolicy final : public RecoveryPolicy {
+ public:
+  RepairAction ChooseAction(const RecoveryContext&) override { return Y; }
+  void OnActionOutcome(const RecoveryContext&, RepairAction action,
+                       SimTime cost, bool cured) override {
+    outcomes.push_back({action, cost, cured});
+  }
+  std::string_view name() const override { return "outcome-probe"; }
+
+  struct Outcome {
+    RepairAction action;
+    SimTime cost;
+    bool cured;
+  };
+  std::vector<Outcome> outcomes;
+};
+
+// Sim time is a plain integer axis: an action started before t = 0 is still
+// an action in flight, and its outcome (result or timeout) must reach the
+// policy. A `last_action_start < 0` "no action yet" test once dropped it.
+TEST(RecoveryManagerRobustnessTest, OutcomeOfActionStartedAtNegativeTime) {
+  OutcomeProbePolicy policy;
+  RecoveryManagerConfig config;
+  config.action_timeout = 40;
+  RecoveryManager manager(policy, config);
+  manager.OnSymptom(-60, 1, "s");
+  ASSERT_EQ(manager.OnRecoveryNeeded(-50, 1), Y);
+  manager.OnActionResult(-20, 1, /*healthy=*/false);
+  ASSERT_EQ(policy.outcomes.size(), 1u);
+  EXPECT_EQ(policy.outcomes[0].action, Y);
+  EXPECT_EQ(policy.outcomes[0].cost, 30);
+  EXPECT_FALSE(policy.outcomes[0].cured);
+
+  // The next attempt starts at -15 and times out at -15 + 40.
+  ASSERT_EQ(manager.OnRecoveryNeeded(-15, 1), Y);
+  EXPECT_EQ(manager.PollTimeouts(25), (std::vector<MachineId>{1}));
+  ASSERT_EQ(policy.outcomes.size(), 2u);
+  EXPECT_EQ(policy.outcomes[1].cost, 40);
+  EXPECT_FALSE(policy.outcomes[1].cured);
+}
+
 // A trashed policy (no GuardedPolicy in front) names an action outside
-// RepairAction. With a tracer attached the span name goes through
-// ActionName, whose range check aborts instead of reading past a table.
+// RepairAction. With a span sink attached the attempt record names the
+// action through ActionName, whose range check aborts instead of reading
+// past a table.
 class OutOfRangePolicy final : public RecoveryPolicy {
  public:
   RepairAction ChooseAction(const RecoveryContext&) override {
@@ -339,9 +383,9 @@ class OutOfRangePolicy final : public RecoveryPolicy {
 
 TEST(RecoveryManagerRobustnessTest, TracedOutOfRangeActionAborts) {
   OutOfRangePolicy policy;
-  obs::Tracer tracer;
+  obs::TraceCollector spans;
   RecoveryManager manager(policy);
-  manager.SetObservers({.tracer = &tracer});
+  manager.SetObservers({.spans = &spans});
   manager.OnSymptom(0, 1, "s");
   EXPECT_DEATH(manager.OnRecoveryNeeded(10, 1), "unhandled RepairAction 17");
 }

@@ -36,12 +36,15 @@ class FlightRecorderTest : public ::testing::Test {
 };
 
 TEST_F(FlightRecorderTest, ManualDumpContainsAllSections) {
-  Tracer tracer;
+  TraceCollector spans;
   MetricsRegistry metrics;
   TimeSeriesRecorder timeseries(metrics, {.window_width = 100});
 
-  const SpanId parent = tracer.StartSpan("recovery", 10, "Watchdog");
-  tracer.EndSpan(parent, 50);
+  const SpanId process = spans.Record({.time = 10,
+                                       .kind = TraceEventKind::kProcessOpen,
+                                       .detail = "Watchdog"});
+  spans.Record(
+      {.time = 50, .kind = TraceEventKind::kProcessClose, .span = process});
   metrics.GetCounter("aer_test_total").Inc(5);
   timeseries.AdvanceTo(100);
   {
@@ -52,7 +55,7 @@ TEST_F(FlightRecorderTest, ManualDumpContainsAllSections) {
       ::testing::TempDir() + "/aer_flight_manual.json";
   std::remove(path.c_str());
   FlightRecorder::Install({.path = path}, {.metrics = &metrics,
-                                           .tracer = &tracer,
+                                           .spans = &spans,
                                            .timeseries = &timeseries});
   EXPECT_TRUE(FlightRecorder::installed());
   ASSERT_TRUE(FlightRecorder::DumpNow("unit test"));
@@ -128,15 +131,18 @@ TEST_F(FlightRecorderTest, MaxTraceRecordsKeepsOnlyTheMostRecent) {
 }
 
 TEST_F(FlightRecorderTest, MaxSpansKeepsOnlyTheMostRecent) {
-  Tracer tracer;
+  TraceCollector spans;
   for (int i = 0; i < 10; ++i) {
-    tracer.Instant("span_" + std::to_string(i), i);
+    spans.Record({.time = i,
+                  .kind = TraceEventKind::kInstant,
+                  .detail = "span_" + std::to_string(i),
+                  .note = SpanNote::kBreakerTrip});
   }
   const std::string path =
       ::testing::TempDir() + "/aer_flight_maxspans.json";
   std::remove(path.c_str());
   FlightRecorder::Install({.path = path, .max_spans = 3},
-                          {.tracer = &tracer});
+                          {.spans = &spans});
   ASSERT_TRUE(FlightRecorder::DumpNow("trim"));
   const std::string dump = ReadFileOrEmpty(path);
   std::remove(path.c_str());

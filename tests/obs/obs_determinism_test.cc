@@ -21,7 +21,8 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
-#include "obs/tracer.h"
+#include "obs/span_view.h"
+#include "obs/trace_collector.h"
 
 namespace aer {
 namespace {
@@ -29,9 +30,9 @@ namespace {
 TEST(ObsSpanStructureTest, RecoveryProcessSpansNestActions) {
   UserDefinedPolicy policy;
   RecoveryManager manager(policy);
-  obs::Tracer tracer;
+  obs::TraceCollector span_records;
   obs::MetricsRegistry metrics;
-  manager.SetObservers({.metrics = &metrics, .tracer = &tracer});
+  manager.SetObservers({.metrics = &metrics, .spans = &span_records});
 
   manager.OnSymptom(100, 1, "Watchdog");
   ASSERT_TRUE(manager.OnRecoveryNeeded(150, 1).has_value());
@@ -39,12 +40,14 @@ TEST(ObsSpanStructureTest, RecoveryProcessSpansNestActions) {
   ASSERT_TRUE(manager.OnRecoveryNeeded(250, 1).has_value());
   manager.OnActionResult(300, 1, /*healthy=*/true);
 
-  EXPECT_EQ(tracer.open_count(), 0u);
-  const std::vector<obs::Span> spans = tracer.Snapshot();
+  std::size_t open = 1;
+  const std::vector<obs::Span> spans =
+      obs::BuildSpans(span_records.Snapshot(), &open);
+  EXPECT_EQ(open, 0u);
   ASSERT_EQ(spans.size(), 3u);  // two actions + the enclosing process
 
   // The process span opened first, so it has the smallest id; it closes
-  // last, so it is the final ring entry.
+  // last, so it is the final span of the view.
   const obs::Span& process = spans[2];
   EXPECT_EQ(process.id, 1);
   EXPECT_EQ(process.name, "recovery");
@@ -99,18 +102,19 @@ ObservedRun RunObservedHarness(std::uint64_t seed) {
   harness_config.hang_action = 0.1;
   harness_config.false_success = 0.1;
 
-  obs::Tracer tracer;
+  obs::TraceCollector span_records;
   obs::MetricsRegistry metrics;
-  guard.SetObservers({.metrics = &metrics, .tracer = &tracer});
+  guard.SetObservers({.metrics = &metrics, .spans = &span_records});
   InjectionHarness harness(guard, manager_config, harness_config);
-  harness.SetObservers({.metrics = &metrics, .tracer = &tracer});
+  harness.SetObservers({.metrics = &metrics, .spans = &span_records});
   harness.Run(incidents);
 
   ObservedRun run;
   obs::MetricsRegistry::ExportOptions options;
   options.include_volatile = false;
   run.metrics_text = metrics.ExportText(options);
-  run.trace_text = obs::Tracer::FormatSpans(tracer.Snapshot());
+  run.trace_text =
+      obs::FormatSpans(obs::BuildSpans(span_records.Snapshot()));
   return run;
 }
 
@@ -175,12 +179,12 @@ TEST(ObsDeterminismTest, PolicyBytesUnaffectedByObservability) {
 
   obs::MetricsRegistry registry;
   obs::TimeSeriesRecorder recorder(registry, {.window_width = 1});
-  obs::Tracer tracer;
+  obs::TraceCollector span_records;
   const std::string dump_path =
       ::testing::TempDir() + "/aer_obs_determinism_flight.json";
   obs::FlightRecorder::Install(
       {.path = dump_path},
-      {.metrics = &registry, .tracer = &tracer, .timeseries = &recorder});
+      {.metrics = &registry, .spans = &span_records, .timeseries = &recorder});
   ProfileRegistry::Global().Reset();
   std::string observed;
   {

@@ -5,8 +5,8 @@
 // still wrote every leadership, fencing and injection event as a span too.
 // They pin one SetObservers(obs::Observers) per component — forwarded down
 // the ctrl stack and re-applied to a coordinator recreated after a crash —
-// to the same counters and causal records, and the managers' own spans to
-// the same content.
+// to the same counters and causal records, and the managers' own spans
+// (now folded from span records by obs::BuildSpans) to the same content.
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -23,7 +23,7 @@
 #include "obs/metrics.h"
 #include "obs/observers.h"
 #include "obs/trace_collector.h"
-#include "obs/tracer.h"
+#include "obs/span_view.h"
 #include "sim/platform.h"
 
 namespace aer {
@@ -104,12 +104,12 @@ TEST(ObserversTest, ControlPlaneAttachMatchesGolden) {
 
   UserDefinedPolicy policy;
   obs::MetricsRegistry registry;
-  obs::Tracer tracer;
+  obs::TraceCollector span_records;
   obs::TraceCollector traces;
   traces.SetMetrics(&registry);
   ctrl::ControlPlaneHarness harness(policy, manager_config, config, script);
   harness.SetObservers(
-      {.metrics = &registry, .tracer = &tracer, .traces = &traces});
+      {.metrics = &registry, .spans = &span_records, .traces = &traces});
   const ctrl::ControlHarnessResult result =
       harness.Run({{50, 7, "NoHeartbeat", 3},
                    {150, 2, "Watchdog", 1},
@@ -125,11 +125,12 @@ TEST(ObserversTest, ControlPlaneAttachMatchesGolden) {
 
   EXPECT_EQ(RegistryFingerprint(registry), 0xed0e44d795a29ad8ULL);
   EXPECT_EQ(RecordsFingerprint(traces), 0xa3703bc7db6b127cULL);
-  const std::vector<obs::Span> spans = tracer.Snapshot();
+  const std::vector<obs::Span> spans = obs::BuildSpans(span_records.Snapshot());
   EXPECT_EQ(SpansFingerprint(spans), 0xaf7ca556e9444d2dULL);
 
   // The control plane writes records and counters, not spans: what the
-  // tracer holds comes from the recovery managers inside the coordinators.
+  // span sink holds comes from the recovery managers inside the
+  // coordinators.
   ASSERT_FALSE(spans.empty());
   for (const obs::Span& span : spans) {
     EXPECT_TRUE(span.name == "recovery" || span.name.starts_with("action:"))

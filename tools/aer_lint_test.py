@@ -427,7 +427,7 @@ class AerLintTest(unittest.TestCase):
             "src/core/recovery_manager.cc",
             "int x = 0;\n"
             "void RecoveryManager::SetObservers(\n"
-            "    obs::Tracer* tracer, obs::MetricsRegistry* metrics) {}\n")
+            "    obs::TraceCollector* spans, obs::MetricsRegistry* m) {}\n")
         self.assert_rule(findings, "one-attach-point")
         self.assertIn(":2:", findings[0])
 
@@ -454,6 +454,42 @@ class AerLintTest(unittest.TestCase):
             "void SetTraceCollector(  // aer-lint: allow(one-attach-point)\n"
             "    obs::TraceCollector* traces) {}\n")
         self.assertEqual(findings, [])
+
+    # -- tracer-shim --------------------------------------------------------
+
+    def test_tracer_shim_include_flagged(self):
+        findings = self.repo.lint("src/obs/flight_recorder.cc",
+                                  "#include <vector>\n"
+                                  '#include "obs/tracer.h"\n')
+        self.assert_rule(findings, "tracer-shim")
+        self.assertIn(":2:", findings[0])
+
+    def test_tracer_shim_include_allowed_in_adapter(self):
+        findings = self.repo.lint(
+            "src/core/recovery_manager.h",
+            "#ifndef AER_CORE_RECOVERY_MANAGER_H_\n"
+            "#define AER_CORE_RECOVERY_MANAGER_H_\n"
+            '#include "obs/tracer.h"  // the benchmark adapter\n'
+            "#endif  // AER_CORE_RECOVERY_MANAGER_H_\n")
+        self.assertEqual(findings, [])
+
+    def test_tracer_name_flagged_outside_pragma(self):
+        findings = self.repo.lint("src/inject/harness.cc",
+                                  "obs::Tracer* tracer_ = nullptr;\n")
+        self.assert_rule(findings, "tracer-shim")
+        findings = self.repo.lint(
+            "src/core/recovery_manager.cc",
+            "void F(obs::Tracer* spans);  // aer-lint: allow(tracer-shim)\n")
+        self.assertEqual(findings, [])
+
+    def test_tracer_shim_prose_and_non_src_exempt(self):
+        self.assertEqual(
+            self.repo.lint("src/obs/span_view.cc",
+                           "// Replaced obs::Tracer's span store.\n"
+                           "class TraceCollector;\n"), [])
+        self.assertEqual(self.repo.lint("tests/obs/old_test.cc",
+                                        '#include "obs/tracer.h"\n'
+                                        "obs::Tracer tracer;\n"), [])
 
     # -- end-to-end exit codes ----------------------------------------------
 
